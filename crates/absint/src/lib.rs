@@ -51,7 +51,7 @@ pub mod from_trace;
 use std::collections::HashMap;
 
 use protoacc::serve::CommandFootprint;
-use protoacc::{AccelConfig, CommandRecord};
+use protoacc::{AccelConfig, CommandRecord, Scenario};
 use protoacc_mem::{Cycles, MemConfig, BUS_WIDTH_BYTES, PAGE_SIZE};
 use protoacc_runtime::{AdtLayout, MessageLayouts};
 use protoacc_schema::{FieldType, MessageId, Schema};
@@ -244,6 +244,25 @@ impl Envelope {
         mem: &MemConfig,
     ) -> Self {
         Self::analyze(schema, layouts, root, accel, mem, Direction::Serialize)
+    }
+
+    /// `(deser, ser)` envelopes of every staged prototype of `scenario`,
+    /// in staging order, under the default accelerator and memory
+    /// configuration: the watchdog and admission-cost ceilings of the
+    /// serve studies.
+    #[must_use]
+    pub fn per_prototype(schema: &Schema, scenario: &Scenario) -> Vec<(Envelope, Envelope)> {
+        let (accel, mem) = (AccelConfig::default(), MemConfig::default());
+        scenario
+            .staged
+            .iter()
+            .map(|s| {
+                (
+                    Envelope::deser(schema, &scenario.layouts, s.type_id, &accel, &mem),
+                    Envelope::ser(schema, &scenario.layouts, s.type_id, &accel, &mem),
+                )
+            })
+            .collect()
     }
 
     fn analyze(

@@ -32,12 +32,12 @@
 use std::process::ExitCode;
 
 use protoacc::serve::{CommandRecord, CommandStatus};
-use protoacc::{AccelConfig, DispatchPolicy, RequestOp, ServeConfig};
+use protoacc::{DispatchPolicy, Scenario, ServeConfig};
 use protoacc_absint::Envelope;
 use protoacc_fleet::traffic::{ClosedLoop, TrafficMix};
 use protoacc_mem::{Cycles, MemConfig, Memory};
 use protoacc_rpc::{encode_frame, IncomingFrame, Method, RpcConfig, RpcHeader, RpcServer};
-use protoacc_runtime::{object, reference, write_adts, BumpArena, MessageLayouts};
+use protoacc_trace::metrics::exact_percentile;
 use xrand::StdRng;
 
 /// Seed for synthesizing the prototype population.
@@ -64,60 +64,6 @@ const RHOS: [f64; 3] = [0.5, 1.0, 2.0];
 /// Goodput at 2x overload must stay within this fraction of the
 /// discipline's peak — the load-shedding acceptance floor.
 const GOODPUT_FLOOR: f64 = 0.8;
-
-/// Stages the mix into a fresh memory image as an RPC method table: one
-/// method per prototype, operation templates pointing at the staged wire
-/// input / object graph, admission costs from the absint envelopes.
-fn stage_methods(mix: &TrafficMix, mem: &mut Memory) -> Vec<Method> {
-    let layouts = MessageLayouts::compute(&mix.schema);
-    let accel = AccelConfig::default();
-    let mem_cfg = MemConfig::default();
-    let mut setup = BumpArena::new(0x1_0000, 1 << 26);
-    let adts = write_adts(&mix.schema, &layouts, &mut mem.data, &mut setup).unwrap();
-    let mut input_cursor = 0x2000_0000u64;
-    let mut objects = BumpArena::new(0x8000_0000, 1 << 30);
-    mix.prototypes
-        .iter()
-        .map(|p| {
-            let wire = reference::encode(&p.message, &mix.schema).unwrap();
-            let input_addr = input_cursor;
-            mem.data.write_bytes(input_addr, &wire);
-            input_cursor += wire.len() as u64 + 64;
-            let obj_ptr = object::write_message(
-                &mut mem.data,
-                &mix.schema,
-                &layouts,
-                &mut objects,
-                &p.message,
-            )
-            .unwrap();
-            let layout = layouts.layout(p.type_id);
-            let dest_obj = objects.alloc(layout.object_size(), 8).unwrap();
-            let deser_env = Envelope::deser(&mix.schema, &layouts, p.type_id, &accel, &mem_cfg);
-            let ser_env = Envelope::ser(&mix.schema, &layouts, p.type_id, &accel, &mem_cfg);
-            Method::from_envelopes(
-                RequestOp::Deserialize {
-                    adt_ptr: adts.addr(p.type_id),
-                    input_addr,
-                    input_len: wire.len() as u64,
-                    dest_obj,
-                    min_field: layout.min_field(),
-                },
-                RequestOp::Serialize {
-                    adt_ptr: adts.addr(p.type_id),
-                    obj_ptr,
-                    hasbits_offset: layout.hasbits_offset(),
-                    min_field: layout.min_field(),
-                    max_field: layout.max_field(),
-                },
-                &deser_env,
-                &ser_env,
-                wire.len() as u64,
-                wire.len() as u64,
-            )
-        })
-        .collect()
-}
 
 /// Encodes one request frame for `method`, optionally carrying the
 /// deadline budget (`DEADLINE_SLACK` x the direction's admission cost).
@@ -202,16 +148,12 @@ impl Cell {
 /// records complete in one cycle by construction and would drag the
 /// distribution toward zero exactly when shedding matters most.
 fn served_percentile(records: &[CommandRecord], p: f64) -> Cycles {
-    let mut latencies: Vec<Cycles> = records
+    let latencies: Vec<Cycles> = records
         .iter()
         .filter(|r| matches!(r.status, CommandStatus::Ok | CommandStatus::Fallback))
         .map(CommandRecord::latency)
         .collect();
-    if latencies.is_empty() {
-        return 0;
-    }
-    latencies.sort_unstable();
-    latencies[protoacc_trace::nearest_rank(p, latencies.len())]
+    exact_percentile(&latencies, p)
 }
 
 fn summarize(discipline: &'static str, rho: f64, srv: &RpcServer) -> Cell {
@@ -240,7 +182,8 @@ fn summarize(discipline: &'static str, rho: f64, srv: &RpcServer) -> Cell {
 /// round-robin across [`CONNS`] connections.
 fn open_loop_cell(mix: &TrafficMix, rho: f64, n_req: usize, gap: f64, with_deadline: bool) -> Cell {
     let mut mem = Memory::new(MemConfig::default());
-    let methods = stage_methods(mix, &mut mem);
+    let scenario = Scenario::new(&mix.schema, mix.messages(), &mut mem).expect("mix stages");
+    let methods = Method::table(&scenario, &Envelope::per_prototype(&mix.schema, &scenario));
     let mut srng = StdRng::seed_from_u64(STREAM_SEED);
     let events = mix.stream(&mut srng, n_req, gap);
     let frames: Vec<IncomingFrame> = events
@@ -263,7 +206,8 @@ fn open_loop_cell(mix: &TrafficMix, rho: f64, n_req: usize, gap: f64, with_deadl
 /// been issued.
 fn closed_loop_cell(mix: &TrafficMix, rho: f64, users: usize, total: usize, think: f64) -> Cell {
     let mut mem = Memory::new(MemConfig::default());
-    let methods = stage_methods(mix, &mut mem);
+    let scenario = Scenario::new(&mix.schema, mix.messages(), &mut mem).expect("mix stages");
+    let methods = Method::table(&scenario, &Envelope::per_prototype(&mix.schema, &scenario));
     let mut srv = server(methods.clone());
     let mut clients = ClosedLoop::new(users, think);
     let mut rng = StdRng::seed_from_u64(STREAM_SEED);
@@ -355,7 +299,8 @@ fn sweep(n_req: usize, check_determinism: bool, shards: usize) -> (f64, Vec<Cell
     // Calibrate uncontended mean service on a sparse deadline-free stream.
     let service = {
         let mut mem = Memory::new(MemConfig::default());
-        let methods = stage_methods(&mix, &mut mem);
+        let scenario = Scenario::new(&mix.schema, mix.messages(), &mut mem).expect("mix stages");
+        let methods = Method::table(&scenario, &Envelope::per_prototype(&mix.schema, &scenario));
         let mut srng = StdRng::seed_from_u64(STREAM_SEED);
         let events = mix.stream(&mut srng, 64, 10_000_000.0);
         let frames: Vec<IncomingFrame> = events

@@ -46,6 +46,13 @@ pub enum AccelError {
     /// A hardware memory fault (ECC error, stalled access) surfaced by the
     /// simulated memory system during a transfer.
     Mem(MemFault),
+    /// A request stream offered to the serve cluster was not sorted by
+    /// arrival time.
+    UnsortedArrivals {
+        /// Position of the first request that arrives before its
+        /// predecessor.
+        seq: usize,
+    },
 }
 
 impl fmt::Display for AccelError {
@@ -71,6 +78,9 @@ impl fmt::Display for AccelError {
                 )
             }
             AccelError::Mem(e) => write!(f, "memory fault: {e}"),
+            AccelError::UnsortedArrivals { seq } => {
+                write!(f, "request {seq} arrives before its predecessor")
+            }
         }
     }
 }
@@ -255,7 +265,8 @@ impl DecodeFault {
             AccelError::Arena(_)
             | AccelError::OutputOverflow
             | AccelError::ArenaNotAssigned { .. }
-            | AccelError::MissingInfo { .. } => DecodeFault::ResourceExhausted,
+            | AccelError::MissingInfo { .. }
+            | AccelError::UnsortedArrivals { .. } => DecodeFault::ResourceExhausted,
             AccelError::Watchdog { .. } => DecodeFault::WatchdogKill,
             AccelError::Mem(_) => DecodeFault::MemoryFault,
         }

@@ -82,6 +82,7 @@ pub mod isa;
 pub mod ops;
 pub mod priorwork;
 pub mod rocc;
+pub mod scenario;
 pub mod ser;
 pub mod serve;
 pub mod shard;
@@ -94,6 +95,7 @@ mod stats;
 pub use config::AccelConfig;
 pub use error::{AccelError, DecodeFault, FaultCategory};
 pub use rocc::ProtoAccelerator;
+pub use scenario::{Dest, Scenario};
 pub use serve::{
     CommandFootprint, CommandRecord, CommandStatus, DispatchPolicy, FallbackCodec, InstanceFault,
     InstanceFaultKind, Request, RequestOp, ServeCluster, ServeConfig, FALLBACK_INSTANCE,

@@ -534,10 +534,11 @@ impl ServeCluster {
     ///
     /// # Errors
     ///
-    /// Reserved for driver-level failures; the model resolves malformed
-    /// inputs to [`CommandStatus::Rejected`] records with a typed verdict
-    /// rather than aborting the run, and queue overflow is counted in
-    /// [`ServeCluster::dropped`].
+    /// [`AccelError::UnsortedArrivals`] as for [`ServeCluster::run_with`].
+    /// Otherwise reserved for driver-level failures; the model resolves
+    /// malformed inputs to [`CommandStatus::Rejected`] records with a typed
+    /// verdict rather than aborting the run, and queue overflow is counted
+    /// in [`ServeCluster::dropped`].
     pub fn run(&mut self, mem: &mut Memory, requests: &[Request]) -> Result<(), AccelError> {
         self.run_with(mem, requests, &[], None)
     }
@@ -562,8 +563,10 @@ impl ServeCluster {
     ///
     /// # Errors
     ///
-    /// Reserved for driver-level failures; decode and hardware faults are
-    /// recorded per command, not propagated.
+    /// [`AccelError::UnsortedArrivals`] if `requests` is not sorted by
+    /// arrival, before anything is offered. Otherwise reserved for
+    /// driver-level failures; decode and hardware faults are recorded per
+    /// command, not propagated.
     pub fn run_with(
         &mut self,
         mem: &mut Memory,
@@ -571,6 +574,12 @@ impl ServeCluster {
         faults: &[InstanceFault],
         mut fallback: Option<&mut dyn FallbackCodec>,
     ) -> Result<(), AccelError> {
+        if let Some(i) = requests
+            .windows(2)
+            .position(|w| w[1].arrival < w[0].arrival)
+        {
+            return Err(AccelError::UnsortedArrivals { seq: i + 1 });
+        }
         let script = FaultScript::compile(faults, self.config.instances);
         if let Some(t) = &self.tracer {
             mem.system.set_event_tracer(Some(t.clone()));
@@ -578,13 +587,7 @@ impl ServeCluster {
         // Dispatch times of admitted-but-not-yet-dispatched commands, as a
         // min-heap so occupancy at any arrival time is cheap to maintain.
         let mut pending: BinaryHeap<Reverse<Cycles>> = BinaryHeap::new();
-        let mut last_arrival = 0;
         for (seq, req) in requests.iter().enumerate() {
-            assert!(
-                req.arrival >= last_arrival,
-                "requests must be sorted by arrival"
-            );
-            last_arrival = req.arrival;
             self.offered += 1;
             while pending.peek().is_some_and(|Reverse(d)| *d <= req.arrival) {
                 pending.pop();
@@ -1209,15 +1212,8 @@ impl ServeCluster {
     /// minimum instead of indexing arbitrarily). Returns 0 if nothing
     /// completed.
     pub fn latency_percentile(&self, p: f64) -> Cycles {
-        if self.records.is_empty() {
-            return 0;
-        }
-        let mut latencies: Vec<Cycles> = self.records.iter().map(CommandRecord::latency).collect();
-        latencies.sort_unstable();
-        // The rank rule is shared with `protoacc_trace::Histogram` so the
-        // exact path here and the metrics-registry histogram path cannot
-        // disagree by more than bucket quantization.
-        latencies[protoacc_trace::nearest_rank(p, latencies.len())]
+        let latencies: Vec<Cycles> = self.records.iter().map(CommandRecord::latency).collect();
+        protoacc_trace::metrics::exact_percentile(&latencies, p)
     }
 
     /// Checks the queue-accounting invariants, returning a description of
@@ -1271,20 +1267,21 @@ impl ServeCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{Dest, Scenario, Staged};
     use protoacc_mem::{MemConfig, Memory};
-    use protoacc_runtime::{reference, write_adts, BumpArena, MessageLayouts, MessageValue, Value};
+    use protoacc_runtime::{MessageValue, Value};
     use protoacc_schema::{FieldType, SchemaBuilder};
 
     struct Fixture {
         mem: Memory,
-        adt_ptr: u64,
-        min_field: u32,
-        max_field: u32,
-        hasbits_offset: u64,
-        input_addr: u64,
-        input_len: u64,
-        dest_obj: u64,
-        obj_ptr: u64,
+        scenario: Scenario,
+    }
+
+    impl Fixture {
+        /// The one staged `Req` prototype.
+        fn s(&self) -> &Staged {
+            &self.scenario.staged[0]
+        }
     }
 
     fn fixture() -> Fixture {
@@ -1294,66 +1291,22 @@ mod tests {
                 .optional("body", FieldType::String, 2);
         });
         let schema = b.build().unwrap();
-        let layouts = MessageLayouts::compute(&schema);
-        let mut mem = Memory::new(MemConfig::default());
-        let mut setup = BumpArena::new(0x1000, 1 << 20);
-        let adts = write_adts(&schema, &layouts, &mut mem.data, &mut setup).unwrap();
         let mut msg = MessageValue::new(id);
         msg.set(1, Value::UInt64(42)).unwrap();
         msg.set(2, Value::Str("serve me".into())).unwrap();
-        let wire = reference::encode(&msg, &schema).unwrap();
-        let input_addr = 0x20_0000;
-        mem.data.write_bytes(input_addr, &wire);
-        let layout = layouts.layout(id);
-        let mut obj_arena = BumpArena::new(0x30_0000, 1 << 20);
-        let obj_ptr = protoacc_runtime::object::write_message(
-            &mut mem.data,
-            &schema,
-            &layouts,
-            &mut obj_arena,
-            &msg,
-        )
-        .unwrap();
-        let dest_obj = obj_arena.alloc(layout.object_size(), 8).unwrap();
-        Fixture {
-            mem,
-            adt_ptr: adts.addr(id),
-            min_field: layout.min_field(),
-            max_field: layout.max_field(),
-            hasbits_offset: layout.hasbits_offset(),
-            input_addr,
-            input_len: wire.len() as u64,
-            dest_obj,
-            obj_ptr,
-        }
+        let mut mem = Memory::new(MemConfig::default());
+        let scenario = Scenario::new(&schema, [&msg], &mut mem).unwrap();
+        Fixture { mem, scenario }
     }
 
+    /// `n` requests `gap` cycles apart, alternating deserialize/serialize.
     fn mixed_requests(f: &Fixture, n: usize, gap: Cycles) -> Vec<Request> {
-        (0..n)
-            .map(|i| Request {
-                arrival: i as Cycles * gap,
-                watchdog: None,
-                deadline: None,
-                cost: None,
-                op: if i % 2 == 0 {
-                    RequestOp::Deserialize {
-                        adt_ptr: f.adt_ptr,
-                        input_addr: f.input_addr,
-                        input_len: f.input_len,
-                        dest_obj: f.dest_obj,
-                        min_field: f.min_field,
-                    }
-                } else {
-                    RequestOp::Serialize {
-                        adt_ptr: f.adt_ptr,
-                        obj_ptr: f.obj_ptr,
-                        hasbits_offset: f.hasbits_offset,
-                        min_field: f.min_field,
-                        max_field: f.max_field,
-                    }
-                },
-            })
-            .collect()
+        f.scenario
+            .requests(
+                (0..n).map(|i| (0, i % 2 == 0, i as Cycles * gap)),
+                Dest::Shared,
+            )
+            .unwrap()
     }
 
     #[test]
@@ -1464,6 +1417,21 @@ mod tests {
     }
 
     #[test]
+    fn unsorted_arrivals_are_a_typed_error_that_offers_nothing() {
+        let mut f = fixture();
+        // Arrivals 0, 200, 100, 300: request 2 arrives before request 1.
+        let mut reqs = mixed_requests(&f, 4, 100);
+        reqs.swap(1, 2);
+        let mut cluster = ServeCluster::new(ServeConfig::default(), 0x1_0000_0000, 1 << 24);
+        assert_eq!(
+            cluster.run(&mut f.mem, &reqs),
+            Err(AccelError::UnsortedArrivals { seq: 2 })
+        );
+        assert_eq!(cluster.offered(), 0);
+        assert!(cluster.records().is_empty());
+    }
+
+    #[test]
     fn goodput_is_computed_over_the_service_window_not_the_makespan() {
         let mut f = fixture();
         // Deliberately sparse stream: one burst after a long idle lead-in.
@@ -1512,11 +1480,9 @@ mod tests {
             }
             // Every deser command reads the wire input region.
             if r.deser {
-                let end = f.input_addr + f.input_len;
+                let (start, end) = (f.s().input_addr, f.s().input_addr + f.s().input_len);
                 assert!(
-                    fp.reads
-                        .iter()
-                        .any(|&(lo, hi)| lo <= f.input_addr && hi >= end),
+                    fp.reads.iter().any(|&(lo, hi)| lo <= start && hi >= end),
                     "cmd {} missing wire read",
                     r.seq
                 );
@@ -1556,19 +1522,10 @@ mod tests {
     fn malformed_input_is_rejected_without_retry() {
         let mut f = fixture();
         // Truncate the wire input mid-message: a deterministic decode fault.
-        let reqs = vec![Request {
-            arrival: 0,
-            watchdog: None,
-            deadline: None,
-            cost: None,
-            op: RequestOp::Deserialize {
-                adt_ptr: f.adt_ptr,
-                input_addr: f.input_addr,
-                input_len: f.input_len - 1,
-                dest_obj: f.dest_obj,
-                min_field: f.min_field,
-            },
-        }];
+        let mut reqs = deser_requests(&f, 1, 0);
+        if let RequestOp::Deserialize { input_len, .. } = &mut reqs[0].op {
+            *input_len -= 1;
+        }
         let mut cluster = ServeCluster::new(ServeConfig::default(), 0x1_0000_0000, 1 << 24);
         cluster.run(&mut f.mem, &reqs).unwrap();
         cluster.check_invariants().unwrap();
@@ -1747,7 +1704,7 @@ mod tests {
         // One transient ECC error on the wire input: the first attempt
         // trips it, and with no other instance the retry lands back on the
         // same (now clean) instance.
-        f.mem.system.arm_ecc(f.input_addr);
+        f.mem.system.arm_ecc(f.s().input_addr);
         cluster.run_with(&mut f.mem, &reqs, &[], None).unwrap();
         cluster.check_invariants().unwrap();
         assert_eq!(cluster.served(), 2);
@@ -1773,7 +1730,7 @@ mod tests {
         );
         // The first command's ECC hit immediately quarantines instance 0;
         // everything (including the retry) runs on instance 1 afterwards.
-        f.mem.system.arm_ecc(f.input_addr);
+        f.mem.system.arm_ecc(f.s().input_addr);
         cluster.run_with(&mut f.mem, &reqs, &[], None).unwrap();
         cluster.check_invariants().unwrap();
         assert_eq!(cluster.served(), 10);
@@ -1785,21 +1742,9 @@ mod tests {
     }
 
     fn deser_requests(f: &Fixture, n: usize, gap: Cycles) -> Vec<Request> {
-        (0..n)
-            .map(|i| Request {
-                arrival: i as Cycles * gap,
-                watchdog: None,
-                deadline: None,
-                cost: None,
-                op: RequestOp::Deserialize {
-                    adt_ptr: f.adt_ptr,
-                    input_addr: f.input_addr,
-                    input_len: f.input_len,
-                    dest_obj: f.dest_obj,
-                    min_field: f.min_field,
-                },
-            })
-            .collect()
+        f.scenario
+            .requests((0..n).map(|i| (0, true, i as Cycles * gap)), Dest::Shared)
+            .unwrap()
     }
 
     #[test]
@@ -1884,9 +1829,9 @@ mod tests {
             let mut cluster = ServeCluster::new(cfg, 0x1_0000_0000, 1 << 24);
             let first = deser_requests(&f, 8, 100_000);
             let second = deser_requests(&f, 4, 100_000);
-            f.mem.system.arm_ecc(f.input_addr);
+            f.mem.system.arm_ecc(f.s().input_addr);
             cluster.run(&mut f.mem, &first).unwrap();
-            f.mem.system.arm_ecc(f.input_addr);
+            f.mem.system.arm_ecc(f.s().input_addr);
             cluster.run(&mut f.mem, &second).unwrap();
             cluster.check_invariants().unwrap();
             (

@@ -303,11 +303,7 @@ impl ShardedCluster {
     /// out-of-range `p` clamp). Returns 0 if nothing completed.
     #[must_use]
     pub fn latency_percentile(&self, p: f64) -> Cycles {
-        let lat = self.latencies();
-        if lat.is_empty() {
-            return 0;
-        }
-        lat[protoacc_trace::nearest_rank(p, lat.len())]
+        protoacc_trace::metrics::sorted_percentile(&self.latencies(), p)
     }
 
     /// First invariant violation across shards (tagged with its shard), or

@@ -59,6 +59,14 @@ pub struct TrafficEvent {
     pub deser: bool,
 }
 
+/// The `(prototype, deser, arrival)` triple `protoacc::Scenario::requests`
+/// consumes.
+impl From<&TrafficEvent> for (usize, bool, u64) {
+    fn from(e: &TrafficEvent) -> Self {
+        (e.prototype, e.deser, e.arrival)
+    }
+}
+
 impl TrafficMix {
     /// Builds `n` prototypes by drawing shape samples from the 2021 fleet
     /// model and materializing each as a schema type plus message value.
@@ -115,6 +123,11 @@ impl TrafficMix {
             prototypes,
             deser_fraction,
         }
+    }
+
+    /// The prototype messages, in population order.
+    pub fn messages(&self) -> impl Iterator<Item = &MessageValue> {
+        self.prototypes.iter().map(|p| &p.message)
     }
 
     /// Mean encoded size over the population, in bytes.

@@ -30,7 +30,7 @@
 //! stats.
 
 use protoacc::serve::{Request, RequestOp, ServeCluster, ServeConfig};
-use protoacc::AccelError;
+use protoacc::{AccelError, Scenario};
 use protoacc_absint::Envelope;
 use protoacc_mem::{Cycles, Memory};
 use protoacc_trace::{SharedTracer, TraceEvent};
@@ -72,6 +72,30 @@ impl Method {
             deser_cost: deser_env.service_bounds(input_len.max(1), 1).upper,
             ser_cost: ser_env.service_bounds(out_len.max(1), 1).upper,
         }
+    }
+
+    /// The method table of a staged scenario: method `i` serves prototype
+    /// `i` through its shared destination slot ([`Dest::Shared`]), costed
+    /// by `envelopes[i]` (see [`Envelope::per_prototype`]).
+    ///
+    /// [`Dest::Shared`]: protoacc::Dest::Shared
+    #[must_use]
+    pub fn table(scenario: &Scenario, envelopes: &[(Envelope, Envelope)]) -> Vec<Method> {
+        scenario
+            .staged
+            .iter()
+            .zip(envelopes)
+            .map(|(s, (deser_env, ser_env))| {
+                Method::from_envelopes(
+                    s.deser_op(s.dest_obj),
+                    s.ser_op(),
+                    deser_env,
+                    ser_env,
+                    s.input_len,
+                    s.input_len,
+                )
+            })
+            .collect()
     }
 }
 
@@ -371,9 +395,8 @@ mod tests {
     use crate::frame::encode_frame;
     use protoacc::serve::CommandStatus;
     use protoacc::DispatchPolicy;
-    use protoacc_absint::Envelope;
-    use protoacc_mem::{MemConfig, Memory};
-    use protoacc_runtime::{object, reference, write_adts, BumpArena, MessageLayouts};
+    use protoacc_mem::MemConfig;
+    use protoacc_runtime::{MessageValue, Value};
     use protoacc_schema::parse_proto;
 
     /// One staged single-method service over a tiny schema, plus the frame
@@ -389,53 +412,14 @@ mod tests {
              optional bytes blob = 3; }",
         )
         .unwrap();
-        let id = schema.id_by_name("Req").unwrap();
-        let layouts = MessageLayouts::compute(&schema);
+        let mut msg = MessageValue::new(schema.id_by_name("Req").unwrap());
+        msg.set(1, Value::UInt64(7)).unwrap();
+        msg.set(2, Value::Str("framed rpc".into())).unwrap();
+        msg.set(3, Value::Bytes(vec![0xCD; 256])).unwrap();
         let mut mem = Memory::new(MemConfig::default());
-        let mut setup = BumpArena::new(0x1000, 1 << 20);
-        let adts = write_adts(&schema, &layouts, &mut mem.data, &mut setup).unwrap();
-        let mut msg = protoacc_runtime::MessageValue::new(id);
-        msg.set(1, protoacc_runtime::Value::UInt64(7)).unwrap();
-        msg.set(2, protoacc_runtime::Value::Str("framed rpc".into()))
-            .unwrap();
-        msg.set(3, protoacc_runtime::Value::Bytes(vec![0xCD; 256]))
-            .unwrap();
-        let wire = reference::encode(&msg, &schema).unwrap();
-        let input_addr = 0x20_0000;
-        mem.data.write_bytes(input_addr, &wire);
-        let layout = layouts.layout(id);
-        let mut objects = BumpArena::new(0x30_0000, 1 << 20);
-        let obj_ptr =
-            object::write_message(&mut mem.data, &schema, &layouts, &mut objects, &msg).unwrap();
-        let dest_obj = objects.alloc(layout.object_size(), 8).unwrap();
-        let accel = protoacc::AccelConfig::default();
-        let mem_cfg = MemConfig::default();
-        let deser_env = Envelope::deser(&schema, &layouts, id, &accel, &mem_cfg);
-        let ser_env = Envelope::ser(&schema, &layouts, id, &accel, &mem_cfg);
-        let method = Method::from_envelopes(
-            RequestOp::Deserialize {
-                adt_ptr: adts.addr(id),
-                input_addr,
-                input_len: wire.len() as u64,
-                dest_obj,
-                min_field: layout.min_field(),
-            },
-            RequestOp::Serialize {
-                adt_ptr: adts.addr(id),
-                obj_ptr,
-                hasbits_offset: layout.hasbits_offset(),
-                min_field: layout.min_field(),
-                max_field: layout.max_field(),
-            },
-            &deser_env,
-            &ser_env,
-            wire.len() as u64,
-            wire.len() as u64,
-        );
-        Fixture {
-            mem,
-            methods: vec![method],
-        }
+        let scenario = Scenario::new(&schema, [&msg], &mut mem).unwrap();
+        let methods = Method::table(&scenario, &Envelope::per_prototype(&schema, &scenario));
+        Fixture { mem, methods }
     }
 
     fn server(f: &Fixture, window: usize) -> RpcServer {

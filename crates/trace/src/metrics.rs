@@ -319,11 +319,18 @@ impl MetricsRegistry {
 /// outside `[0, 100]` clamps to the nearest bound.
 #[must_use]
 pub fn exact_percentile(samples: &[Cycles], p: f64) -> Cycles {
-    if samples.is_empty() {
-        return 0;
-    }
     let mut sorted = samples.to_vec();
     sorted.sort_unstable();
+    sorted_percentile(&sorted, p)
+}
+
+/// [`exact_percentile`] over samples already sorted ascending. Returns 0
+/// for an empty slice.
+#[must_use]
+pub fn sorted_percentile(sorted: &[Cycles], p: f64) -> Cycles {
+    if sorted.is_empty() {
+        return 0;
+    }
     sorted[nearest_rank(p, sorted.len())]
 }
 

@@ -22,25 +22,20 @@
 
 use protoacc_suite::absint::Envelope;
 use protoacc_suite::accel::{
-    AccelConfig, CommandStatus, DispatchPolicy, FaultCategory, InstanceFault, InstanceFaultKind,
-    Request, RequestOp, ServeCluster, ServeConfig, FALLBACK_INSTANCE,
+    CommandStatus, DispatchPolicy, FaultCategory, InstanceFault, InstanceFaultKind, Request,
+    RequestOp, Scenario, ServeCluster, ServeConfig, FALLBACK_INSTANCE,
 };
 use protoacc_suite::faults::memory::{arm_random_ecc, arm_random_stalls};
 use protoacc_suite::faults::wire::corrupt;
 use protoacc_suite::faults::{random_script, InstanceFaultPlan, SoftwareFallback, WIRE_FAULTS};
 use protoacc_suite::fleet::traffic::TrafficMix;
 use protoacc_suite::mem::{Cycles, MemConfig, Memory};
-use protoacc_suite::runtime::{
-    object, reference, write_adts, AdtTables, BumpArena, MessageLayouts,
-};
+use protoacc_suite::runtime::reference;
 use protoacc_suite::xrand::StdRng;
 
-/// Guest-memory map: setup/ADTs, clean inputs, corrupted inputs, object
-/// graphs, per-instance accelerator arenas, software-fallback regions.
-const SETUP_BASE: u64 = 0x1_0000;
-const INPUT_BASE: u64 = 0x200_0000;
-const CORRUPT_BASE: u64 = 0x400_0000;
-const OBJECT_BASE: u64 = 0x800_0000;
+/// Guest-memory map around the staged scenario: corrupted inputs,
+/// per-instance accelerator arenas, software-fallback regions.
+const CORRUPT_BASE: u64 = 0x3000_0000;
 const ARENA_BASE: u64 = 0x1_0000_0000;
 const ARENA_STRIDE: u64 = 1 << 24;
 const FB_ARENA: (u64, u64) = (0x4000_0000, 1 << 22);
@@ -50,99 +45,44 @@ const FB_OUT: u64 = 0x5000_0000;
 /// (the model charges `1 << 40` cycles to an unrecovered hung command).
 const HANG_SENTINEL: Cycles = 1 << 39;
 
-/// One staged prototype plus its statically derived watchdog ceilings.
-struct Staged {
-    adt_ptr: u64,
-    input_addr: u64,
-    input_len: u64,
-    dest_obj: u64,
-    obj_ptr: u64,
-    hasbits_offset: u64,
-    min_field: u32,
-    max_field: u32,
-    deser_env: Envelope,
-    ser_env: Envelope,
-}
-
 /// A staged memory image plus everything needed to build requests and the
 /// software fallback. Re-staged fresh per run so replays are exact.
 struct Rig {
     mix: TrafficMix,
-    layouts: MessageLayouts,
-    adts: AdtTables,
+    scenario: Scenario,
+    /// Per-prototype `(deser, ser)` envelopes: the watchdog ceilings.
+    envs: Vec<(Envelope, Envelope)>,
     mem: Memory,
-    staged: Vec<Staged>,
     /// Worst-case sharers used for the watchdog upper bounds.
     sharers: usize,
 }
 
 impl Rig {
-    fn stage(prototypes: usize, sharers: usize) -> Self {
+    fn new(prototypes: usize, sharers: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(0xFA57_0001);
         let mix = TrafficMix::build(&mut rng, prototypes);
-        let layouts = MessageLayouts::compute(&mix.schema);
         let mut mem = Memory::new(MemConfig::default());
-        let mut setup = BumpArena::new(SETUP_BASE, 1 << 22);
-        let adts = write_adts(&mix.schema, &layouts, &mut mem.data, &mut setup).unwrap();
-        let accel = AccelConfig::default();
-        let mem_cfg = MemConfig::default();
-        let mut input_cursor = INPUT_BASE;
-        let mut objects = BumpArena::new(OBJECT_BASE, 1 << 26);
-        let staged = mix
-            .prototypes
-            .iter()
-            .map(|p| {
-                let wire = reference::encode(&p.message, &mix.schema).unwrap();
-                let input_addr = input_cursor;
-                mem.data.write_bytes(input_addr, &wire);
-                input_cursor += wire.len() as u64 + 64;
-                let obj_ptr = object::write_message(
-                    &mut mem.data,
-                    &mix.schema,
-                    &layouts,
-                    &mut objects,
-                    &p.message,
-                )
-                .unwrap();
-                let layout = layouts.layout(p.type_id);
-                let dest_obj = objects.alloc(layout.object_size(), 8).unwrap();
-                Staged {
-                    adt_ptr: adts.addr(p.type_id),
-                    input_addr,
-                    input_len: wire.len() as u64,
-                    dest_obj,
-                    obj_ptr,
-                    hasbits_offset: layout.hasbits_offset(),
-                    min_field: layout.min_field(),
-                    max_field: layout.max_field(),
-                    deser_env: Envelope::deser(&mix.schema, &layouts, p.type_id, &accel, &mem_cfg),
-                    ser_env: Envelope::ser(&mix.schema, &layouts, p.type_id, &accel, &mem_cfg),
-                }
-            })
-            .collect();
+        let scenario = Scenario::new(&mix.schema, mix.messages(), &mut mem).unwrap();
+        let envs = Envelope::per_prototype(&mix.schema, &scenario);
         Rig {
             mix,
-            layouts,
-            adts,
+            scenario,
+            envs,
             mem,
-            staged,
             sharers,
         }
     }
 
     /// Watchdog ceiling for deserializing `len` wire bytes of prototype `p`.
     fn deser_watchdog(&self, p: usize, len: u64) -> Cycles {
-        self.staged[p]
-            .deser_env
-            .service_bounds(len, self.sharers)
-            .upper
+        self.envs[p].0.service_bounds(len, self.sharers).upper
     }
 
     /// Watchdog ceiling for serializing prototype `p` (output length equals
     /// the reference encoding length).
     fn ser_watchdog(&self, p: usize) -> Cycles {
-        let s = &self.staged[p];
-        s.ser_env.service_bounds(s.input_len, self.sharers).upper
+        let len = self.scenario.staged[p].input_len;
+        self.envs[p].1.service_bounds(len, self.sharers).upper
     }
 
     /// Clean request stream: round-robin over the prototypes, two
@@ -151,37 +91,19 @@ impl Rig {
     fn clean_requests(&self, n: usize, gap: Cycles) -> Vec<Request> {
         (0..n)
             .map(|i| {
-                let p = i % self.staged.len();
-                let s = &self.staged[p];
-                let arrival = i as Cycles * gap;
-                if i % 3 == 2 {
-                    Request {
-                        arrival,
-                        watchdog: Some(self.ser_watchdog(p)),
-                        deadline: None,
-                        cost: None,
-                        op: RequestOp::Serialize {
-                            adt_ptr: s.adt_ptr,
-                            obj_ptr: s.obj_ptr,
-                            hasbits_offset: s.hasbits_offset,
-                            min_field: s.min_field,
-                            max_field: s.max_field,
-                        },
-                    }
+                let p = i % self.scenario.staged.len();
+                let s = &self.scenario.staged[p];
+                let (op, watchdog) = if i % 3 == 2 {
+                    (s.ser_op(), self.ser_watchdog(p))
                 } else {
-                    Request {
-                        arrival,
-                        watchdog: Some(self.deser_watchdog(p, s.input_len)),
-                        deadline: None,
-                        cost: None,
-                        op: RequestOp::Deserialize {
-                            adt_ptr: s.adt_ptr,
-                            input_addr: s.input_addr,
-                            input_len: s.input_len,
-                            dest_obj: s.dest_obj,
-                            min_field: s.min_field,
-                        },
-                    }
+                    (s.deser_op(s.dest_obj), self.deser_watchdog(p, s.input_len))
+                };
+                Request {
+                    arrival: i as Cycles * gap,
+                    watchdog: Some(watchdog),
+                    deadline: None,
+                    cost: None,
+                    op,
                 }
             })
             .collect()
@@ -197,8 +119,8 @@ impl Rig {
     ) -> ServeCluster {
         let mut fb = SoftwareFallback::new(
             &self.mix.schema,
-            &self.layouts,
-            &self.adts,
+            &self.scenario.layouts,
+            &self.scenario.adts,
             FB_ARENA,
             FB_OUT,
         );
@@ -248,14 +170,14 @@ fn assert_all_served(cluster: &ServeCluster, offered: usize) {
 
 #[test]
 fn wire_plane_matrix_resolves_every_fault_class_to_a_typed_verdict() {
-    let mut rig = Rig::stage(4, 2);
+    let mut rig = Rig::new(4, 2);
     let mut rng = StdRng::seed_from_u64(0x3B1D);
     let mut cursor = CORRUPT_BASE;
     let mut requests = Vec::new();
     let mut arrival: Cycles = 0;
     // 5 wire fault classes x 4 prototypes x 4 seeded variants each.
     for &fault in &WIRE_FAULTS {
-        for (p, s) in rig.staged.iter().enumerate() {
+        for (p, s) in rig.scenario.staged.iter().enumerate() {
             let wire = reference::encode(&rig.mix.prototypes[p].message, &rig.mix.schema).unwrap();
             for _ in 0..4 {
                 let bad = corrupt(&wire, fault, &mut rng);
@@ -304,12 +226,13 @@ fn wire_plane_matrix_resolves_every_fault_class_to_a_typed_verdict() {
 
 #[test]
 fn memory_plane_ecc_and_stall_faults_are_retried_to_completion() {
-    let mut rig = Rig::stage(4, 2);
+    let mut rig = Rig::new(4, 2);
     let requests = rig.clean_requests(48, 300);
     let mut rng = StdRng::seed_from_u64(0xEC0_57A1);
     // Arm the faults inside the staged wire inputs so the deserializer's
     // own streaming reads trip them.
     let regions: Vec<(u64, u64)> = rig
+        .scenario
         .staged
         .iter()
         .map(|s| (s.input_addr, s.input_len))
@@ -334,10 +257,11 @@ fn memory_plane_ecc_and_stall_faults_are_retried_to_completion() {
 
 #[test]
 fn memory_plane_with_no_retry_budget_degrades_to_the_software_fallback() {
-    let mut rig = Rig::stage(2, 1);
+    let mut rig = Rig::new(2, 1);
     let requests = rig.clean_requests(12, 500);
     let mut rng = StdRng::seed_from_u64(0xEC0_57A2);
     let regions: Vec<(u64, u64)> = rig
+        .scenario
         .staged
         .iter()
         .map(|s| (s.input_addr, s.input_len))
@@ -377,7 +301,7 @@ fn instance_plane_crash_hang_and_slow_are_recovered_by_watchdog_and_failover() {
         ),
     ];
     for (label, kind) in scenarios {
-        let mut rig = Rig::stage(4, 4);
+        let mut rig = Rig::new(4, 4);
         let requests = rig.clean_requests(64, 250);
         let offered = requests.len();
         let fault = InstanceFault {
@@ -408,7 +332,7 @@ fn instance_plane_crash_hang_and_slow_are_recovered_by_watchdog_and_failover() {
 
 #[test]
 fn all_instances_down_still_serves_the_full_load_via_the_cpu() {
-    let mut rig = Rig::stage(3, 2);
+    let mut rig = Rig::new(3, 2);
     let requests = rig.clean_requests(24, 400);
     let offered = requests.len();
     let faults: Vec<InstanceFault> = (0..2)
@@ -462,8 +386,8 @@ fn randomized_instance_fault_scripts_replay_deterministically_and_serve_everythi
                 cluster.retries(),
             )
         };
-        let a = run(&mut Rig::stage(4, 4));
-        let b = run(&mut Rig::stage(4, 4));
+        let a = run(&mut Rig::new(4, 4));
+        let b = run(&mut Rig::new(4, 4));
         assert_eq!(a, b, "seed {seed} replayed nondeterministically");
     }
 }
@@ -473,12 +397,12 @@ fn randomized_instance_fault_scripts_replay_deterministically_and_serve_everythi
 /// reproducible) p99 degradation against the nominal run.
 #[test]
 fn killing_one_of_four_instances_mid_run_serves_everything_with_measured_p99_cost() {
-    let requests = Rig::stage(6, 4).clean_requests(96, 200);
+    let requests = Rig::new(6, 4).clean_requests(96, 200);
     let offered = requests.len();
 
     // Nominal run: the absint-derived watchdog must never kill a correct
     // command, so every status is Ok.
-    let mut nominal_rig = Rig::stage(6, 4);
+    let mut nominal_rig = Rig::new(6, 4);
     let nominal = nominal_rig.run(&requests, config(4), &[]);
     assert_all_served(&nominal, offered);
     assert_eq!(
@@ -494,7 +418,7 @@ fn killing_one_of_four_instances_mid_run_serves_everything_with_measured_p99_cos
         at: nominal.makespan() / 2,
         kind: InstanceFaultKind::Crash,
     };
-    let mut faulted_rig = Rig::stage(6, 4);
+    let mut faulted_rig = Rig::new(6, 4);
     let faulted = faulted_rig.run(&requests, config(4), &[fault]);
     assert_all_served(&faulted, offered);
     let (ok, fallback, rejected, failed, _) = faulted.status_counts();
@@ -515,7 +439,7 @@ fn killing_one_of_four_instances_mid_run_serves_everything_with_measured_p99_cos
     );
 
     // The degraded run is itself a deterministic measurement.
-    let mut replay_rig = Rig::stage(6, 4);
+    let mut replay_rig = Rig::new(6, 4);
     let replay = replay_rig.run(&requests, config(4), &[fault]);
     assert_eq!(replay.status_counts(), faulted.status_counts());
     assert_eq!(replay.latency_percentile(99.0), p99_faulted);

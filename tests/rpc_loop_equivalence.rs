@@ -10,12 +10,11 @@
 //! fingerprint, replay after replay.
 
 use protoacc_suite::absint::Envelope;
-use protoacc_suite::accel::serve::RequestOp;
-use protoacc_suite::accel::{AccelConfig, DispatchPolicy, ServeConfig};
+use protoacc_suite::accel::{DispatchPolicy, Scenario, ServeConfig};
 use protoacc_suite::fleet::traffic::{ClosedLoop, TrafficMix};
 use protoacc_suite::mem::{Cycles, MemConfig, Memory};
 use protoacc_suite::rpc::{encode_frame, IncomingFrame, Method, RpcConfig, RpcHeader, RpcServer};
-use protoacc_suite::runtime::{object, reference, write_adts, BumpArena, MessageLayouts};
+use protoacc_suite::trace::metrics::sorted_percentile;
 use protoacc_suite::xrand::StdRng;
 
 const MIX_SEED: u64 = 0xF1EE7;
@@ -27,59 +26,6 @@ const RHO: f64 = 0.3;
 /// Requests per cell. Large enough that the served-latency median is
 /// stable against the seeded arrival noise.
 const REQUESTS: usize = 400;
-
-/// Stages the mix as an RPC method table in a fresh memory image (the
-/// integration-test twin of the `serve_rpc` bench staging).
-fn stage_methods(mix: &TrafficMix, mem: &mut Memory) -> Vec<Method> {
-    let layouts = MessageLayouts::compute(&mix.schema);
-    let accel = AccelConfig::default();
-    let mem_cfg = MemConfig::default();
-    let mut setup = BumpArena::new(0x1_0000, 1 << 26);
-    let adts = write_adts(&mix.schema, &layouts, &mut mem.data, &mut setup).unwrap();
-    let mut input_cursor = 0x2000_0000u64;
-    let mut objects = BumpArena::new(0x8000_0000, 1 << 30);
-    mix.prototypes
-        .iter()
-        .map(|p| {
-            let wire = reference::encode(&p.message, &mix.schema).unwrap();
-            let input_addr = input_cursor;
-            mem.data.write_bytes(input_addr, &wire);
-            input_cursor += wire.len() as u64 + 64;
-            let obj_ptr = object::write_message(
-                &mut mem.data,
-                &mix.schema,
-                &layouts,
-                &mut objects,
-                &p.message,
-            )
-            .unwrap();
-            let layout = layouts.layout(p.type_id);
-            let dest_obj = objects.alloc(layout.object_size(), 8).unwrap();
-            let deser_env = Envelope::deser(&mix.schema, &layouts, p.type_id, &accel, &mem_cfg);
-            let ser_env = Envelope::ser(&mix.schema, &layouts, p.type_id, &accel, &mem_cfg);
-            Method::from_envelopes(
-                RequestOp::Deserialize {
-                    adt_ptr: adts.addr(p.type_id),
-                    input_addr,
-                    input_len: wire.len() as u64,
-                    dest_obj,
-                    min_field: layout.min_field(),
-                },
-                RequestOp::Serialize {
-                    adt_ptr: adts.addr(p.type_id),
-                    obj_ptr,
-                    hasbits_offset: layout.hasbits_offset(),
-                    min_field: layout.min_field(),
-                    max_field: layout.max_field(),
-                },
-                &deser_env,
-                &ser_env,
-                wire.len() as u64,
-                wire.len() as u64,
-            )
-        })
-        .collect()
-}
 
 fn server(methods: Vec<Method>) -> RpcServer {
     RpcServer::new(
@@ -120,7 +66,7 @@ struct Outcome {
 
 impl Outcome {
     fn p50(&self) -> Cycles {
-        self.latencies[protoacc_suite::trace::nearest_rank(50.0, self.latencies.len())]
+        sorted_percentile(&self.latencies, 50.0)
     }
 }
 
@@ -141,7 +87,8 @@ fn outcome(srv: &RpcServer) -> Outcome {
 /// Mean uncontended service time, calibrated on a sparse stream.
 fn calibrate(mix: &TrafficMix) -> f64 {
     let mut mem = Memory::new(MemConfig::default());
-    let methods = stage_methods(mix, &mut mem);
+    let scenario = Scenario::new(&mix.schema, mix.messages(), &mut mem).unwrap();
+    let methods = Method::table(&scenario, &Envelope::per_prototype(&mix.schema, &scenario));
     let mut srng = StdRng::seed_from_u64(STREAM_SEED);
     let events = mix.stream(&mut srng, 64, 10_000_000.0);
     let frames: Vec<IncomingFrame> = events
@@ -160,7 +107,8 @@ fn calibrate(mix: &TrafficMix) -> f64 {
 
 fn open_loop(mix: &TrafficMix, gap: f64) -> Outcome {
     let mut mem = Memory::new(MemConfig::default());
-    let methods = stage_methods(mix, &mut mem);
+    let scenario = Scenario::new(&mix.schema, mix.messages(), &mut mem).unwrap();
+    let methods = Method::table(&scenario, &Envelope::per_prototype(&mix.schema, &scenario));
     let mut srng = StdRng::seed_from_u64(STREAM_SEED);
     let events = mix.stream(&mut srng, REQUESTS, gap);
     let frames: Vec<IncomingFrame> = events
@@ -179,7 +127,8 @@ fn open_loop(mix: &TrafficMix, gap: f64) -> Outcome {
 
 fn closed_loop(mix: &TrafficMix, users: usize, think: f64) -> Outcome {
     let mut mem = Memory::new(MemConfig::default());
-    let methods = stage_methods(mix, &mut mem);
+    let scenario = Scenario::new(&mix.schema, mix.messages(), &mut mem).unwrap();
+    let methods = Method::table(&scenario, &Envelope::per_prototype(&mix.schema, &scenario));
     let mut srv = server(methods.clone());
     let mut clients = ClosedLoop::new(users, think);
     let mut rng = StdRng::seed_from_u64(STREAM_SEED);

@@ -12,30 +12,23 @@
 
 use protoacc_suite::absint::{self, Envelope, FindingKind, ServiceBounds};
 use protoacc_suite::accel::{
-    AccelConfig, CommandRecord, DispatchPolicy, Request, RequestOp, ServeCluster, ServeConfig,
+    CommandRecord, Dest, DispatchPolicy, Request, Scenario, ServeCluster, ServeConfig,
 };
 use protoacc_suite::lint::{findings_to_diagnostics, DiagCode, LintConfig, Severity};
 use protoacc_suite::mem::{MemConfig, Memory};
-use protoacc_suite::runtime::{
-    object, reference, write_adts, BumpArena, MessageLayouts, MessageValue, Value,
-};
-use protoacc_suite::schema::{parse_proto, MessageId, Schema};
+use protoacc_suite::runtime::{BumpArena, MessageValue, Value};
+use protoacc_suite::schema::parse_proto;
 
 const ARENA_BASE: u64 = 0x1_0000_0000;
 const ARENA_STRIDE: u64 = 1 << 24;
 
 struct Fixture {
-    schema: Schema,
-    id: MessageId,
     mem: Memory,
-    adt_ptr: u64,
-    min_field: u32,
-    max_field: u32,
-    hasbits_offset: u64,
-    object_size: u64,
-    input_addr: u64,
-    input_len: u64,
-    obj_ptr: u64,
+    /// One staged `Req` prototype.
+    scenario: Scenario,
+    /// Its `(deser, ser)` envelopes.
+    envs: (Envelope, Envelope),
+    /// Per-request destination objects ([`Dest::Fresh`]).
     dests: BumpArena,
 }
 
@@ -45,75 +38,35 @@ fn fixture() -> Fixture {
          optional bytes blob = 3; }",
     )
     .unwrap();
-    let id = schema.id_by_name("Req").unwrap();
-    let layouts = MessageLayouts::compute(&schema);
-    let mut mem = Memory::new(MemConfig::default());
-    let mut setup = BumpArena::new(0x1000, 1 << 20);
-    let adts = write_adts(&schema, &layouts, &mut mem.data, &mut setup).unwrap();
-    let mut msg = MessageValue::new(id);
+    let mut msg = MessageValue::new(schema.id_by_name("Req").unwrap());
     msg.set(1, Value::UInt64(42)).unwrap();
     msg.set(2, Value::Str("sanitize this serving run".into()))
         .unwrap();
     msg.set(3, Value::Bytes(vec![0xAB; 400])).unwrap();
-    let wire = reference::encode(&msg, &schema).unwrap();
-    let input_addr = 0x20_0000;
-    mem.data.write_bytes(input_addr, &wire);
-    let layout = layouts.layout(id);
-    let mut obj_arena = BumpArena::new(0x30_0000, 1 << 20);
-    let obj_ptr =
-        object::write_message(&mut mem.data, &schema, &layouts, &mut obj_arena, &msg).unwrap();
+    let mut mem = Memory::new(MemConfig::default());
+    let scenario = Scenario::new(&schema, [&msg], &mut mem).unwrap();
+    let envs = Envelope::per_prototype(&schema, &scenario).remove(0);
     Fixture {
-        id,
         mem,
-        adt_ptr: adts.addr(id),
-        min_field: layout.min_field(),
-        max_field: layout.max_field(),
-        hasbits_offset: layout.hasbits_offset(),
-        object_size: layout.object_size(),
-        input_addr,
-        input_len: wire.len() as u64,
-        obj_ptr,
-        dests: BumpArena::new(0x40_0000, 1 << 24),
-        schema,
+        scenario,
+        envs,
+        dests: BumpArena::new(0xC000_0000, 1 << 24),
     }
 }
 
 impl Fixture {
-    fn deser_request(&mut self, arrival: u64, fresh_dest: bool, shared_dest: u64) -> Request {
-        let dest_obj = if fresh_dest {
-            self.dests.alloc(self.object_size, 8).unwrap()
+    /// Simultaneous requests at cycle 0, one per entry of `deser` (true
+    /// deserializes, false serializes). Deserializations write to the
+    /// prototype's one shared slot when `shared`, else to fresh objects.
+    fn burst(&mut self, deser: impl IntoIterator<Item = bool>, shared: bool) -> Vec<Request> {
+        let dest = if shared {
+            Dest::Shared
         } else {
-            shared_dest
+            Dest::Fresh(&mut self.dests)
         };
-        Request {
-            arrival,
-            watchdog: None,
-            deadline: None,
-            cost: None,
-            op: RequestOp::Deserialize {
-                adt_ptr: self.adt_ptr,
-                input_addr: self.input_addr,
-                input_len: self.input_len,
-                dest_obj,
-                min_field: self.min_field,
-            },
-        }
-    }
-
-    fn ser_request(&self, arrival: u64) -> Request {
-        Request {
-            arrival,
-            watchdog: None,
-            deadline: None,
-            cost: None,
-            op: RequestOp::Serialize {
-                adt_ptr: self.adt_ptr,
-                obj_ptr: self.obj_ptr,
-                hasbits_offset: self.hasbits_offset,
-                min_field: self.min_field,
-                max_field: self.max_field,
-            },
-        }
+        self.scenario
+            .requests(deser.into_iter().map(|d| (0, d, 0)), dest)
+            .unwrap()
     }
 
     /// Runs `requests` on an instrumented cluster and returns it.
@@ -135,15 +88,11 @@ impl Fixture {
 
     /// Static per-record service bounds from the absint envelopes.
     fn bounds(&self, records: &[CommandRecord]) -> Vec<ServiceBounds> {
-        let layouts = MessageLayouts::compute(&self.schema);
-        let accel = AccelConfig::default();
-        let mem_cfg = MemConfig::default();
-        let denv = Envelope::deser(&self.schema, &layouts, self.id, &accel, &mem_cfg);
-        let senv = Envelope::ser(&self.schema, &layouts, self.id, &accel, &mem_cfg);
+        let (denv, senv) = &self.envs;
         records
             .iter()
             .map(|r| {
-                let env = if r.deser { &denv } else { &senv };
+                let env = if r.deser { denv } else { senv };
                 let b = env.service_bounds(r.wire_bytes, r.sharers);
                 ServiceBounds {
                     seq: r.seq,
@@ -160,15 +109,7 @@ fn clean_concurrent_run_produces_no_findings() {
     let mut f = fixture();
     // Simultaneous arrivals across 2 instances: genuine time overlap, but
     // every deserialization gets its own destination object.
-    let requests: Vec<Request> = (0..12)
-        .map(|i| {
-            if i % 3 == 2 {
-                f.ser_request(0)
-            } else {
-                f.deser_request(0, true, 0)
-            }
-        })
-        .collect();
+    let requests = f.burst((0..12).map(|i| i % 3 != 2), false);
     let cluster = f.run(2, &requests);
     assert!(
         cluster.records().iter().any(|r| r.sharers > 1),
@@ -189,13 +130,10 @@ fn clean_concurrent_run_produces_no_findings() {
 #[test]
 fn shared_destination_across_instances_trips_pa009() {
     let mut f = fixture();
-    let shared = f.dests.alloc(f.object_size, 8).unwrap();
-    // Two simultaneous deserializations into the SAME destination object:
-    // with 2 instances both run at cycle 0 and their write ranges collide.
-    let requests = vec![
-        f.deser_request(0, false, shared),
-        f.deser_request(0, false, shared),
-    ];
+    // Two simultaneous deserializations into the SAME destination object
+    // (`Dest::Shared`): with 2 instances both run at cycle 0 and their write
+    // ranges collide.
+    let requests = f.burst([true, true], true);
     let cluster = f.run(2, &requests);
     let bounds = f.bounds(cluster.records());
     let findings = absint::sanitize(
@@ -221,7 +159,7 @@ fn shared_destination_across_instances_trips_pa009() {
         .all(|d| d.code == DiagCode::ArenaAliasing && d.severity == Severity::Deny));
 
     // Serializing the shared object concurrently only *reads* it: no hazard.
-    let requests = vec![f.ser_request(0), f.ser_request(0)];
+    let requests = f.burst([false, false], true);
     let cluster = f.run(2, &requests);
     let bounds = f.bounds(cluster.records());
     let findings = absint::sanitize(
@@ -241,7 +179,7 @@ fn shared_destination_across_instances_trips_pa009() {
 #[test]
 fn tampered_records_trip_pa008() {
     let mut f = fixture();
-    let requests: Vec<Request> = (0..6).map(|_| f.deser_request(0, true, 0)).collect();
+    let requests = f.burst([true; 6], false);
     let cluster = f.run(2, &requests);
     let mut records = cluster.records().to_vec();
 
@@ -282,7 +220,7 @@ fn tampered_records_trip_pa008() {
 #[test]
 fn tightened_envelopes_trip_pa007() {
     let mut f = fixture();
-    let requests: Vec<Request> = (0..4).map(|_| f.deser_request(0, true, 0)).collect();
+    let requests = f.burst([true; 4], false);
     let cluster = f.run(1, &requests);
     let honest = f.bounds(cluster.records());
     assert!(

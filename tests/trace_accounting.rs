@@ -7,19 +7,16 @@
 //! a fault must not leak spans).
 
 use protoacc_suite::accel::{
-    CommandStatus, DispatchPolicy, InstanceFault, InstanceFaultKind, Request, RequestOp,
-    ServeCluster, ServeConfig,
+    CommandStatus, Dest, DispatchPolicy, InstanceFault, InstanceFaultKind, Scenario, ServeCluster,
+    ServeConfig,
 };
 use protoacc_suite::hyperbench::{Generator, ServiceProfile};
 use protoacc_suite::mem::{Cycles, MemConfig, Memory};
-use protoacc_suite::runtime::{object, reference, write_adts, BumpArena, MessageLayouts};
+use protoacc_suite::runtime::BumpArena;
 use protoacc_suite::trace::{audit, ExpectedStats, TraceEvent, TraceLog};
 
-/// Guest-memory map: setup/ADTs, wire inputs, source object graphs,
-/// per-request destination objects, per-instance accelerator arenas.
-const SETUP_BASE: u64 = 0x1_0000;
-const INPUT_BASE: u64 = 0x200_0000;
-const OBJECT_BASE: u64 = 0x800_0000;
+/// Guest-memory map around the staged scenario: per-request destination
+/// objects, per-instance accelerator arenas.
 const DEST_BASE: u64 = 0xC000_0000;
 const ARENA_BASE: u64 = 0x1_0000_0000;
 const ARENA_STRIDE: u64 = 1 << 24;
@@ -41,50 +38,15 @@ struct TracedRun {
 /// population, every destination object isolated per request.
 fn run_service(instances: usize, faults: &[InstanceFault]) -> TracedRun {
     let bench = Generator::new(ServiceProfile::bench(0), 0x7C1).generate(MESSAGES);
-    let layouts = MessageLayouts::compute(&bench.schema);
     let mut mem = Memory::new(MemConfig::default());
-    let mut setup = BumpArena::new(SETUP_BASE, 1 << 22);
-    let adts = write_adts(&bench.schema, &layouts, &mut mem.data, &mut setup).unwrap();
-    let layout = layouts.layout(bench.type_id);
-
-    let mut input_cursor = INPUT_BASE;
-    let mut objects = BumpArena::new(OBJECT_BASE, 1 << 26);
+    let scenario = Scenario::new(&bench.schema, &bench.messages, &mut mem).unwrap();
     let mut dests = BumpArena::new(DEST_BASE, 1 << 28);
-    let mut requests = Vec::with_capacity(bench.messages.len());
-    for (i, m) in bench.messages.iter().enumerate() {
-        let arrival = i as Cycles * GAP;
-        let op = if i % 3 == 2 {
-            let obj_ptr =
-                object::write_message(&mut mem.data, &bench.schema, &layouts, &mut objects, m)
-                    .unwrap();
-            RequestOp::Serialize {
-                adt_ptr: adts.addr(bench.type_id),
-                obj_ptr,
-                hasbits_offset: layout.hasbits_offset(),
-                min_field: layout.min_field(),
-                max_field: layout.max_field(),
-            }
-        } else {
-            let wire = reference::encode(m, &bench.schema).unwrap();
-            let input_addr = input_cursor;
-            mem.data.write_bytes(input_addr, &wire);
-            input_cursor += wire.len() as u64 + 64;
-            RequestOp::Deserialize {
-                adt_ptr: adts.addr(bench.type_id),
-                input_addr,
-                input_len: wire.len() as u64,
-                dest_obj: dests.alloc(layout.object_size(), 8).unwrap(),
-                min_field: layout.min_field(),
-            }
-        };
-        requests.push(Request {
-            arrival,
-            watchdog: None,
-            deadline: None,
-            cost: None,
-            op,
-        });
-    }
+    let requests = scenario
+        .requests(
+            (0..MESSAGES).map(|i| (i, i % 3 != 2, i as Cycles * GAP)),
+            Dest::Fresh(&mut dests),
+        )
+        .unwrap();
 
     let cfg = ServeConfig {
         instances,

@@ -90,3 +90,98 @@ fn stream_cost_is_bounded() {
         assert!(cost <= ceiling, "cost {cost} > ceiling {ceiling}");
     }
 }
+
+/// 64-bit FNV-1a over a stream of little-endian words.
+fn fnv1a64(words: &[u64]) -> u64 {
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// A hierarchy small enough that a short stream evicts at every level and
+/// from the TLB.
+fn small_config() -> MemConfig {
+    MemConfig {
+        l1: CacheConfig::new(2 * 1024, 2, 64),
+        l2: CacheConfig::new(8 * 1024, 4, 64),
+        llc: CacheConfig::new(32 * 1024, 8, 64),
+        tlb: protoacc_mem::TlbConfig {
+            entries: 8,
+            walk_cycles: 90,
+        },
+        ..MemConfig::default()
+    }
+}
+
+/// Replays a seeded mix of `access`/`stream`/`pipelined`/`warm` calls from
+/// two requesters, with mixed lengths, page crossings and sharer changes,
+/// and folds every per-call cost plus the final counters into one digest.
+fn cost_digest(config: MemConfig, seed: u64, calls: usize) -> u64 {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut sys = MemSystem::new(config);
+    let mut words = Vec::with_capacity(calls + 64);
+    for _ in 0..calls {
+        if rng.gen_range(0u32..64) == 0 {
+            sys.set_requester(rng.gen_range(0usize..2));
+        }
+        if rng.gen_range(0u32..128) == 0 {
+            sys.set_sharers(rng.gen_range(1usize..5));
+        }
+        // A hot 64 KiB region, a wider 16 MiB one, and page-edge addresses.
+        let addr = match rng.gen_range(0u32..4) {
+            0 | 1 => rng.gen_range(0u64..1 << 16),
+            2 => rng.gen_range(0u64..1 << 24),
+            _ => rng.gen_range(1u64..4096) * 4096 - rng.gen_range(1u64..64),
+        };
+        let len = match rng.gen_range(0u32..8) {
+            0 => rng.gen_range(1usize..4096),
+            1 => rng.gen_range(4096usize..20_000),
+            _ => rng.gen_range(0usize..128),
+        };
+        let kind = if rng.gen_bool(0.3) {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        let cost = match rng.gen_range(0u32..16) {
+            0..=6 => sys.access(addr, len, kind),
+            7..=10 => sys.stream(addr, len, kind),
+            11..=14 => sys.pipelined(addr, len, kind),
+            _ => {
+                sys.warm(addr, len);
+                0
+            }
+        };
+        words.push(cost);
+    }
+    for id in 0..2 {
+        let r = sys.requester_stats(id);
+        words.extend([
+            r.accesses,
+            r.bytes,
+            r.cycles,
+            r.l1_hits,
+            r.l2_hits,
+            r.llc_hits,
+            r.dram_accesses,
+        ]);
+    }
+    let s = sys.stats();
+    words.extend([s.accesses, s.bytes, s.cycles]);
+    for level in [s.l1, s.l2, s.llc] {
+        words.extend([level.hits, level.misses]);
+    }
+    fnv1a64(&words)
+}
+
+/// Pins the cost of every call across commits: host-side changes to the
+/// cache, TLB and geometry bookkeeping must leave every charge and counter
+/// byte-identical.
+#[test]
+fn per_call_costs_match_pinned_digest() {
+    assert_eq!(cost_digest(small_config(), 0x3E_0005, 4000), 0x74a4_90c9_0366_1ab6);
+    assert_eq!(cost_digest(MemConfig::default(), 0x3E_0006, 4000), 0x96c8_7aba_9e73_21dc);
+}

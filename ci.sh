@@ -7,6 +7,12 @@
 #   2. lints                cargo clippy --all-targets -- -D warnings
 #   3. tier-1 tests         cargo build --release && cargo test
 #   4. full workspace tests cargo test --workspace
+#   4b. memory-model gates  the repo benchmark's self-tests (including its
+#                           MemSystem replay, which must reproduce traced
+#                           access counts and per-level hits exactly) and
+#                           the protoacc-mem randomized suite at slow-tests
+#                           scale (pinned per-call cost digest, LRU
+#                           equivalence against naive references)
 #   5. schema lint gate     protoacc-lint --format json protos/
 #                           (fails on any deny-level diagnostic)
 #   5b. descriptor ingestion protoacc-lint --descriptor-set protos/chain
@@ -84,6 +90,10 @@ cargo test --offline -q
 
 echo "== full workspace tests =="
 cargo test --offline --workspace -q
+
+echo "== memory-model gates (benchmark self-tests, slow mem suite) =="
+cargo test --offline -q --release --manifest-path perfbench/Cargo.toml
+cargo test --offline -q --release -p protoacc-mem --features slow-tests
 
 echo "== protoacc-lint gate over protos/ =="
 # Deny-level diagnostics exit 1 and fail CI; the JSON report is printed for

@@ -199,11 +199,14 @@ impl SerUnit {
             .system
             .pipelined(adt.is_submessage, hasbits_bytes, AccessKind::Read);
         *frontend += hb_cost.max(sub_cost) + span.div_ceil(64);
+        // The timed fetch above is the hardware's; functionally read the
+        // span's hasbits once rather than per field number.
+        let hasbits = mem.data.read_vec(hasbits_addr, hasbits_bytes);
 
         // Reverse field-number order (Section 4.5.1).
         for number in (adt.min_field..=adt.max_field).rev() {
             let bit = u64::from(number - adt.min_field);
-            let set = mem.data.read_u8(hasbits_addr + bit / 8) & (1 << (bit % 8)) != 0;
+            let set = hasbits[(bit / 8) as usize] & (1 << (bit % 8)) != 0;
             if !set {
                 continue;
             }

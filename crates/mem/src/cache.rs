@@ -65,6 +65,9 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct CacheModel {
     config: CacheConfig,
+    /// `sets() - 1`: the geometry is a power of two, so a line's set is its
+    /// low bits.
+    set_mask: usize,
     /// Per set: tags in LRU order, most-recently-used last.
     sets: Vec<Vec<u64>>,
     stats: CacheStats,
@@ -75,6 +78,7 @@ impl CacheModel {
     pub fn new(config: CacheConfig) -> Self {
         CacheModel {
             config,
+            set_mask: config.sets() - 1,
             sets: vec![Vec::with_capacity(config.ways); config.sets()],
             stats: CacheStats::default(),
         }
@@ -104,12 +108,14 @@ impl CacheModel {
     ///
     /// Returns `true` on hit.
     pub fn access_line(&mut self, line: u64) -> bool {
-        let set_index = (line as usize) & (self.config.sets() - 1);
-        let set = &mut self.sets[set_index];
-        if let Some(pos) = set.iter().position(|&t| t == line) {
-            // Move to MRU position.
-            let tag = set.remove(pos);
-            set.push(tag);
+        let set = &mut self.sets[(line as usize) & self.set_mask];
+        // Tags are unique within a set and most hits are recent, so scan
+        // from the MRU end.
+        if let Some(pos) = set.iter().rposition(|&t| t == line) {
+            if pos + 1 != set.len() {
+                set.remove(pos);
+                set.push(line);
+            }
             self.stats.hits += 1;
             true
         } else {

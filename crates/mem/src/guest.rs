@@ -1,6 +1,6 @@
 //! Sparse, paged guest memory.
 
-use std::collections::HashMap;
+use crate::AddrMap;
 
 /// Size of one backing page in bytes.
 pub const PAGE_SIZE: usize = 4096;
@@ -8,7 +8,8 @@ pub const PAGE_SIZE: usize = 4096;
 /// Byte-addressable simulated memory, allocated lazily in 4 KiB pages.
 ///
 /// Unwritten memory reads back as zero, like freshly-mapped anonymous pages.
-/// This is pure storage — timing lives in [`crate::MemSystem`].
+/// The address space wraps: a range running past `u64::MAX` continues at
+/// address 0. This is pure storage — timing lives in [`crate::MemSystem`].
 ///
 /// ```rust
 /// use protoacc_mem::GuestMemory;
@@ -20,7 +21,7 @@ pub const PAGE_SIZE: usize = 4096;
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct GuestMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: AddrMap<Box<[u8; PAGE_SIZE]>>,
 }
 
 impl GuestMemory {
@@ -44,7 +45,7 @@ impl GuestMemory {
     pub fn read_bytes(&self, addr: u64, buf: &mut [u8]) {
         let mut done = 0;
         while done < buf.len() {
-            let cur = addr + done as u64;
+            let cur = addr.wrapping_add(done as u64);
             let page_number = cur / PAGE_SIZE as u64;
             let offset = (cur % PAGE_SIZE as u64) as usize;
             let chunk = (PAGE_SIZE - offset).min(buf.len() - done);
@@ -62,7 +63,7 @@ impl GuestMemory {
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
         let mut done = 0;
         while done < bytes.len() {
-            let cur = addr + done as u64;
+            let cur = addr.wrapping_add(done as u64);
             let page_number = cur / PAGE_SIZE as u64;
             let offset = (cur % PAGE_SIZE as u64) as usize;
             let chunk = (PAGE_SIZE - offset).min(bytes.len() - done);
@@ -175,6 +176,16 @@ mod tests {
         let data: Vec<u8> = (0..20_000).map(|i| (i % 251) as u8).collect();
         mem.write_bytes(123, &data);
         assert_eq!(mem.read_vec(123, data.len()), data);
+    }
+
+    #[test]
+    fn ranges_wrap_past_the_top_of_the_address_space() {
+        let mut mem = GuestMemory::new();
+        mem.write_u64(u64::MAX - 3, 0x0807_0605_0403_0201);
+        assert_eq!(mem.read_u64(u64::MAX - 3), 0x0807_0605_0403_0201);
+        assert_eq!(mem.read_vec(u64::MAX - 3, 4), vec![1, 2, 3, 4]);
+        assert_eq!(mem.read_vec(0, 4), vec![5, 6, 7, 8]);
+        assert_eq!(mem.resident_pages(), 2);
     }
 
     #[test]

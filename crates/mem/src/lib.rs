@@ -13,6 +13,8 @@
 //! * [`Tlb`] — accelerator-side TLB with a page-table-walk penalty.
 //! * [`Memory`] — the bundle of storage plus timing that components thread
 //!   through their operations.
+//! * [`AddrMap`] — the cheap deterministic map the hot address-keyed
+//!   lookups use.
 //!
 //! All timing is deterministic: the same access sequence always produces the
 //! same cycle count, mirroring FireSim's cycle-exact methodology.
@@ -34,11 +36,13 @@
 
 pub mod cache;
 pub mod guest;
+pub mod hash;
 pub mod system;
 pub mod tlb;
 
 pub use cache::{CacheConfig, CacheModel, CacheStats};
 pub use guest::{GuestMemory, PAGE_SIZE};
+pub use hash::AddrMap;
 pub use system::{
     AccessKind, AccessRecord, MemConfig, MemFault, MemStats, MemSystem, Memory, RequesterStats,
 };

@@ -229,6 +229,8 @@ pub struct MemStats {
 #[derive(Debug, Clone)]
 pub struct MemSystem {
     config: MemConfig,
+    /// `log2` of the L1 line size, which numbers lines at every level.
+    line_shift: u32,
     l1: CacheModel,
     l2: CacheModel,
     llc: CacheModel,
@@ -258,6 +260,7 @@ impl MemSystem {
     pub fn new(config: MemConfig) -> Self {
         MemSystem {
             config,
+            line_shift: config.l1.line_bytes.trailing_zeros(),
             l1: CacheModel::new(config.l1),
             l2: CacheModel::new(config.l2),
             llc: CacheModel::new(config.llc),
@@ -333,19 +336,19 @@ impl MemSystem {
         self.fault.is_some()
     }
 
-    /// Triggers any armed fault covered by `[addr, addr + len)`; returns the
-    /// extra cycle charge. The empty-`armed` fast path keeps untouched
-    /// configurations branch-cheap.
+    /// Triggers any armed fault covered by `[addr, addr + len)` (wrapping
+    /// past `u64::MAX` like the access does); returns the extra cycle
+    /// charge. The empty-`armed` fast path keeps untouched configurations
+    /// branch-cheap.
     fn check_faults(&mut self, addr: u64, len: usize) -> Cycles {
         if self.armed.is_empty() {
             return 0;
         }
-        let end = addr.saturating_add(len as u64);
         let mut extra_cycles: Cycles = 0;
         let mut i = 0;
         while i < self.armed.len() {
             let f = self.armed[i];
-            if f.addr >= addr && f.addr < end {
+            if f.addr.wrapping_sub(addr) < len as u64 {
                 let (fault, charge) = match f.kind {
                     ArmedFaultKind::Ecc => {
                         (MemFault::Ecc { addr: f.addr }, self.config.dram_latency)
@@ -448,18 +451,9 @@ impl MemSystem {
         }
         self.trace_access(addr, len, kind);
         let snap = self.snap_for_event();
-        let mut tlb_cost = self.tlb.translate(addr);
-        let line_bytes = self.config.l1.line_bytes as u64;
-        let first_line = addr / line_bytes;
-        let last_line = (addr + len as u64 - 1) / line_bytes;
-        // Page-boundary crossings need a second translation.
-        let first_page = addr / crate::PAGE_SIZE as u64;
-        let last_page = (addr + len as u64 - 1) / crate::PAGE_SIZE as u64;
-        for page in first_page + 1..=last_page {
-            tlb_cost += self.tlb.translate(page * crate::PAGE_SIZE as u64);
-        }
+        let tlb_cost = self.translate(addr, len);
         let mut cost = tlb_cost;
-        for line in first_line..=last_line {
+        for line in blocks(addr, len, self.line_shift) {
             cost += self.probe(line);
         }
         let cost = cost.saturating_add(self.check_faults(addr, len));
@@ -486,23 +480,14 @@ impl MemSystem {
         }
         self.trace_access(addr, len, kind);
         let snap = self.snap_for_event();
-        let line_bytes = self.config.l1.line_bytes as u64;
-        let first_line = addr / line_bytes;
-        let last_line = (addr + len as u64 - 1) / line_bytes;
         let mut worst: Cycles = 0;
         let mut sum: Cycles = 0;
-        let mut tlb_cost = self.tlb.translate(addr);
-        let first_page = addr / crate::PAGE_SIZE as u64;
-        let last_page = (addr + len as u64 - 1) / crate::PAGE_SIZE as u64;
-        for page in first_page + 1..=last_page {
-            tlb_cost += self.tlb.translate(page * crate::PAGE_SIZE as u64);
-        }
-        for line in first_line..=last_line {
+        let tlb_cost = self.translate(addr, len);
+        for line in blocks(addr, len, self.line_shift) {
             let c = self.probe(line);
             worst = worst.max(c);
             sum += c;
         }
-        let lines = last_line - first_line + 1;
         // With `max_outstanding` requests in flight, per-line latencies
         // overlap: charge the worst single latency once, plus the serialized
         // remainder divided by the overlap factor, plus bus occupancy. The
@@ -511,7 +496,6 @@ impl MemSystem {
         let hidden = sum.saturating_sub(worst) / overlap;
         let bus = len.div_ceil(BUS_WIDTH_BYTES) as u64 * self.sharers;
         let cost = (tlb_cost + worst + hidden + bus).saturating_add(self.check_faults(addr, len));
-        let _ = lines;
         self.note(len, cost);
         self.emit_mem_event(
             snap,
@@ -536,21 +520,10 @@ impl MemSystem {
         }
         self.trace_access(addr, len, kind);
         let snap = self.snap_for_event();
-        let tlb_cost = {
-            let mut t = self.tlb.translate(addr);
-            let first_page = addr / crate::PAGE_SIZE as u64;
-            let last_page = (addr + len as u64 - 1) / crate::PAGE_SIZE as u64;
-            for page in first_page + 1..=last_page {
-                t += self.tlb.translate(page * crate::PAGE_SIZE as u64);
-            }
-            t
-        };
+        let tlb_cost = self.translate(addr, len);
         let mut cost = tlb_cost;
-        let line_bytes = self.config.l1.line_bytes as u64;
-        let first_line = addr / line_bytes;
-        let last_line = (addr + len as u64 - 1) / line_bytes;
         let mut probe_sum = 0;
-        for line in first_line..=last_line {
+        for line in blocks(addr, len, self.line_shift) {
             probe_sum += self.probe(line);
         }
         let overlap = self.effective_overlap();
@@ -617,6 +590,14 @@ impl MemSystem {
             });
     }
 
+    /// Translates every page `[addr, addr + len)` touches, in address
+    /// order; a page-boundary crossing needs a second translation.
+    fn translate(&mut self, addr: u64, len: usize) -> Cycles {
+        blocks(addr, len, PAGE_SHIFT)
+            .map(|page| self.tlb.translate(page << PAGE_SHIFT))
+            .sum()
+    }
+
     fn probe(&mut self, line: u64) -> Cycles {
         let who = &mut self.requesters[self.requester];
         if self.l1.access_line(line) {
@@ -681,17 +662,29 @@ impl MemSystem {
     /// Pre-touches an address range so it is LLC-resident (used to model
     /// warmed-up benchmark state without charging cycles to the workload).
     pub fn warm(&mut self, addr: u64, len: usize) {
-        let line_bytes = self.config.l1.line_bytes as u64;
         if len == 0 {
             return;
         }
-        let first = addr / line_bytes;
-        let last = (addr + len as u64 - 1) / line_bytes;
-        for line in first..=last {
+        for line in blocks(addr, len, self.line_shift) {
             self.llc.access_line(line);
         }
         self.llc.reset_stats();
     }
+}
+
+/// `log2(PAGE_SIZE)`.
+const PAGE_SHIFT: u32 = crate::PAGE_SIZE.trailing_zeros();
+
+/// The `1 << shift`-byte blocks (lines or pages) that the nonempty range
+/// `[addr, addr + len)` touches, in address order. Like guest storage, the
+/// range wraps past `u64::MAX` to address 0, so every block it touches is
+/// yielded whatever the build's overflow checks.
+fn blocks(addr: u64, len: usize, shift: u32) -> impl Iterator<Item = u64> {
+    let space = u64::MAX >> shift;
+    let first = addr >> shift;
+    let last = addr.wrapping_add(len as u64 - 1) >> shift;
+    let extra = last.wrapping_sub(first) & space;
+    (0..=extra).map(move |i| first.wrapping_add(i) & space)
 }
 
 /// Storage plus timing: the object every simulated component threads through
@@ -1042,5 +1035,63 @@ mod tests {
         assert_eq!(tiny.llc.size_bytes, base.llc.ways * base.llc.line_bytes);
         assert_eq!(tiny.max_outstanding, 1);
         let _ = MemSystem::new(tiny);
+    }
+
+    #[test]
+    fn access_across_the_top_of_the_address_space_probes_both_ends() {
+        let config = MemConfig::default();
+        let mut sys = MemSystem::new(config);
+        // The last line of the top page and line 0 of page 0: two walks and
+        // two cold line fetches.
+        let cold = sys.access(u64::MAX - 3, 8, AccessKind::Read);
+        assert_eq!(cold, 2 * config.tlb.walk_cycles + 2 * config.dram_latency);
+        let s = sys.stats();
+        assert_eq!((s.l1.hits, s.l1.misses), (0, 2));
+        // Both halves are now resident.
+        assert_eq!(sys.access(0, 4, AccessKind::Read), config.l1_latency);
+        assert_eq!(sys.access(u64::MAX, 1, AccessKind::Read), config.l1_latency);
+        // A range ending exactly at u64::MAX does not wrap.
+        assert_eq!(
+            sys.access(u64::MAX - 7, 8, AccessKind::Read),
+            config.l1_latency
+        );
+    }
+
+    #[test]
+    fn stream_and_pipelined_wrap_like_access() {
+        for mode in 0..3 {
+            let mut sys = MemSystem::new(MemConfig::default());
+            let len = 256;
+            let addr = 0u64.wrapping_sub(128);
+            match mode {
+                0 => sys.access(addr, len, AccessKind::Write),
+                1 => sys.stream(addr, len, AccessKind::Write),
+                _ => sys.pipelined(addr, len, AccessKind::Write),
+            };
+            let s = sys.stats();
+            assert_eq!(s.l1.misses, 4, "mode {mode}: two lines at each end");
+            assert_eq!(sys.requester_stats(0).dram_accesses, 4, "mode {mode}");
+        }
+    }
+
+    #[test]
+    fn warm_wraps_like_access() {
+        let mut sys = MemSystem::new(MemConfig::default());
+        sys.warm(u64::MAX - 3, 8);
+        sys.access(0, 8, AccessKind::Read);
+        sys.access(u64::MAX - 3, 4, AccessKind::Read);
+        assert_eq!(sys.stats().llc.hits, 2);
+    }
+
+    #[test]
+    fn armed_fault_in_the_wrapped_part_of_a_range_fires() {
+        let mut sys = MemSystem::new(MemConfig::default());
+        sys.arm_ecc(2);
+        sys.arm_ecc(u64::MAX);
+        sys.access(u64::MAX - 3, 8, AccessKind::Read);
+        assert_eq!(sys.take_fault(), Some(MemFault::Ecc { addr: 2 }));
+        // Both armed faults were covered, so both were consumed.
+        sys.access(u64::MAX - 3, 8, AccessKind::Read);
+        assert_eq!(sys.take_fault(), None);
     }
 }

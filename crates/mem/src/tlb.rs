@@ -53,9 +53,12 @@ impl Tlb {
     /// (0 on hit, the walk penalty on miss).
     pub fn translate(&mut self, addr: u64) -> Cycles {
         let page = addr / PAGE_SIZE as u64;
-        if let Some(pos) = self.pages.iter().position(|&p| p == page) {
-            let p = self.pages.remove(pos);
-            self.pages.push(p);
+        // Pages are unique and most hits are recent: scan from the MRU end.
+        if let Some(pos) = self.pages.iter().rposition(|&p| p == page) {
+            if pos + 1 != self.pages.len() {
+                self.pages.remove(pos);
+                self.pages.push(page);
+            }
             self.hits += 1;
             0
         } else {

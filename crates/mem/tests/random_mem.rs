@@ -3,7 +3,10 @@
 //! by the workspace's deterministic PRNG (`xrand`); enable the
 //! `slow-tests` feature to multiply the iteration counts.
 
-use protoacc_mem::{AccessKind, CacheConfig, CacheModel, GuestMemory, MemConfig, MemSystem};
+use protoacc_mem::{
+    AccessKind, CacheConfig, CacheModel, GuestMemory, MemConfig, MemSystem, Tlb, TlbConfig,
+    PAGE_SIZE,
+};
 use xrand::{Rng, StdRng};
 
 /// Iteration count, scaled up under `--features slow-tests`.
@@ -108,7 +111,7 @@ fn small_config() -> MemConfig {
         l1: CacheConfig::new(2 * 1024, 2, 64),
         l2: CacheConfig::new(8 * 1024, 4, 64),
         llc: CacheConfig::new(32 * 1024, 8, 64),
-        tlb: protoacc_mem::TlbConfig {
+        tlb: TlbConfig {
             entries: 8,
             walk_cycles: 90,
         },
@@ -182,6 +185,117 @@ fn cost_digest(config: MemConfig, seed: u64, calls: usize) -> u64 {
 /// byte-identical.
 #[test]
 fn per_call_costs_match_pinned_digest() {
-    assert_eq!(cost_digest(small_config(), 0x3E_0005, 4000), 0x74a4_90c9_0366_1ab6);
-    assert_eq!(cost_digest(MemConfig::default(), 0x3E_0006, 4000), 0x96c8_7aba_9e73_21dc);
+    assert_eq!(
+        cost_digest(small_config(), 0x3E_0005, 4000),
+        0x74a4_90c9_0366_1ab6
+    );
+    assert_eq!(
+        cost_digest(MemConfig::default(), 0x3E_0006, 4000),
+        0x96c8_7aba_9e73_21dc
+    );
+}
+
+/// The obvious LRU: keys in recency order, least recent first.
+struct NaiveLru {
+    capacity: usize,
+    keys: Vec<u64>,
+}
+
+impl NaiveLru {
+    fn new(capacity: usize) -> Self {
+        NaiveLru {
+            capacity,
+            keys: Vec::new(),
+        }
+    }
+
+    /// Touches `key`; returns whether it was resident.
+    fn touch(&mut self, key: u64) -> bool {
+        let hit = match self.keys.iter().position(|&k| k == key) {
+            Some(pos) => {
+                self.keys.remove(pos);
+                true
+            }
+            None => {
+                if self.keys.len() == self.capacity {
+                    self.keys.remove(0);
+                }
+                false
+            }
+        };
+        self.keys.push(key);
+        hit
+    }
+}
+
+/// A key drawn to force conflicts: mostly from a pool a little larger than
+/// `capacity` (so residents are both re-hit and evicted), sometimes fresh.
+fn conflicting_key(rng: &mut StdRng, capacity: usize, stride: u64) -> u64 {
+    let pool = capacity as u64 + capacity as u64 / 2 + 1;
+    if rng.gen_bool(0.9) {
+        rng.gen_range(0..pool) * stride
+    } else {
+        rng.gen_range(0u64..1 << 40) * stride
+    }
+}
+
+/// `CacheModel` hits and misses exactly like a per-set naive LRU, across
+/// same-set conflicts, evictions past associativity and flushes.
+#[test]
+fn cache_model_matches_naive_lru() {
+    let mut rng = StdRng::seed_from_u64(0x3E_0007);
+    for _ in 0..cases(32) {
+        let sets = 1usize << rng.gen_range(0u32..4);
+        let ways = rng.gen_range(1usize..9);
+        let mut cache = CacheModel::new(CacheConfig::new(sets * ways * 64, ways, 64));
+        let mut reference: Vec<NaiveLru> = (0..sets).map(|_| NaiveLru::new(ways)).collect();
+        let home = rng.gen_range(0..sets as u64);
+        for step in 0..500 {
+            if rng.gen_range(0u32..200) == 0 {
+                cache.flush();
+                reference.iter_mut().for_each(|set| set.keys.clear());
+            }
+            // Lines `home + k * sets` all map to one set.
+            let line = if rng.gen_bool(0.7) {
+                home + conflicting_key(&mut rng, ways, 1) * sets as u64
+            } else {
+                rng.gen_range(0u64..(sets * ways * 4) as u64)
+            };
+            let expect = reference[(line % sets as u64) as usize].touch(line);
+            assert_eq!(
+                cache.access_line(line),
+                expect,
+                "step {step}: line {line} in {sets}x{ways}"
+            );
+        }
+    }
+}
+
+/// `Tlb` charges exactly what a naive LRU over page numbers predicts,
+/// across evictions past capacity and flushes.
+#[test]
+fn tlb_matches_naive_lru() {
+    let mut rng = StdRng::seed_from_u64(0x3E_0008);
+    for _ in 0..cases(32) {
+        let config = TlbConfig {
+            entries: rng.gen_range(1usize..40),
+            walk_cycles: 90,
+        };
+        let mut tlb = Tlb::new(config);
+        let mut reference = NaiveLru::new(config.entries);
+        for step in 0..500 {
+            if rng.gen_range(0u32..200) == 0 {
+                tlb.flush();
+                reference.keys.clear();
+            }
+            let addr = conflicting_key(&mut rng, config.entries, PAGE_SIZE as u64)
+                + rng.gen_range(0..PAGE_SIZE as u64);
+            let expect = if reference.touch(addr / PAGE_SIZE as u64) {
+                0
+            } else {
+                config.walk_cycles
+            };
+            assert_eq!(tlb.translate(addr), expect, "step {step}: addr {addr:#x}");
+        }
+    }
 }

@@ -7,12 +7,17 @@
 #   2. lints                cargo clippy --all-targets -- -D warnings
 #   3. tier-1 tests         cargo build --release && cargo test
 #   4. full workspace tests cargo test --workspace
-#   4b. memory-model gates  the repo benchmark's self-tests (including its
+#   4b. simulator gates     the repo benchmark's self-tests (including its
 #                           MemSystem replay, which must reproduce traced
-#                           access counts and per-level hits exactly) and
-#                           the protoacc-mem randomized suite at slow-tests
-#                           scale (pinned per-call cost digest, LRU
-#                           equivalence against naive references)
+#                           access counts and per-level hits exactly); the
+#                           protoacc-mem and protoacc randomized suites at
+#                           slow-tests scale (pinned per-call cost digest,
+#                           LRU equivalence against naive references, unit
+#                           reuse after rejected ops); and 3 s sim_fleet and
+#                           rpc_overload benchmark runs, gated on exit code
+#                           only (every trial must replay the same simulated
+#                           fingerprint, so host scratch state leaking from
+#                           one command into the next fails the run)
 #   5. schema lint gate     protoacc-lint --format json protos/
 #                           (fails on any deny-level diagnostic)
 #   5b. descriptor ingestion protoacc-lint --descriptor-set protos/chain
@@ -91,9 +96,13 @@ cargo test --offline -q
 echo "== full workspace tests =="
 cargo test --offline --workspace -q
 
-echo "== memory-model gates (benchmark self-tests, slow mem suite) =="
+echo "== simulator gates (benchmark self-tests, slow mem/accel suites, benchmark smoke) =="
 cargo test --offline -q --release --manifest-path perfbench/Cargo.toml
 cargo test --offline -q --release -p protoacc-mem --features slow-tests
+cargo test --offline -q --release -p protoacc --features slow-tests
+for workload in sim_fleet rpc_overload; do
+    python3 perfbench/run.py --workload "$workload" --seconds 3 | tail -n 1
+done
 
 echo "== protoacc-lint gate over protos/ =="
 # Deny-level diagnostics exit 1 and fail CI; the JSON report is printed for

@@ -6,7 +6,7 @@
 //! amount is data-dependent (e.g. a varint's length is unknown until
 //! decoded).
 //!
-//! Functionally the loader holds the whole input (prefetched); its timing is
+//! Functionally the loader views the whole input (prefetched); its timing is
 //! charged once as a streaming transfer by the deserializer unit, which then
 //! overlaps FSM execution against that bandwidth bound.
 
@@ -17,16 +17,16 @@ pub const WINDOW_BYTES: usize = 16;
 
 /// The memloader's consumer-side view of the serialized input.
 #[derive(Debug, Clone)]
-pub struct Memloader {
-    input: Vec<u8>,
+pub struct Memloader<'a> {
+    input: &'a [u8],
     base_addr: u64,
     pos: usize,
 }
 
-impl Memloader {
+impl<'a> Memloader<'a> {
     /// Creates a loader over an input buffer already fetched from
     /// `base_addr`.
-    pub fn new(input: Vec<u8>, base_addr: u64) -> Self {
+    pub fn new(input: &'a [u8], base_addr: u64) -> Self {
         Memloader {
             input,
             base_addr,
@@ -61,14 +61,14 @@ impl Memloader {
 
     /// The varint peek window: up to 10 bytes, bounded by `limit` (the
     /// enclosing message's end) and the end of input.
-    pub fn peek_varint_window(&self, limit: usize) -> &[u8] {
+    pub fn peek_varint_window(&self, limit: usize) -> &'a [u8] {
         let end = limit.min(self.input.len()).max(self.pos);
         &self.input[self.pos..end.min(self.pos + MAX_VARINT_LEN)]
     }
 
     /// A slice of `n` bytes at the cursor, or `None` if fewer remain before
     /// `limit`.
-    pub fn peek_bytes(&self, n: usize, limit: usize) -> Option<&[u8]> {
+    pub fn peek_bytes(&self, n: usize, limit: usize) -> Option<&'a [u8]> {
         let end = limit.min(self.input.len());
         // Subtraction, not addition: `n` can be an adversarial declared
         // length near `usize::MAX`, which must report "not enough bytes"
@@ -86,10 +86,8 @@ impl Memloader {
     /// Panics if `n` exceeds the remaining input — the FSM validates bounds
     /// before consuming.
     pub fn consume(&mut self, n: usize) {
-        assert!(
-            self.pos + n <= self.input.len(),
-            "consume past end of input"
-        );
+        // `pos + n` would wrap for `n` near `usize::MAX` in release builds.
+        assert!(n <= self.remaining(), "consume past end of input");
         self.pos += n;
     }
 }
@@ -100,7 +98,7 @@ mod tests {
 
     #[test]
     fn window_is_bounded_by_limit_and_input() {
-        let loader = Memloader::new(vec![1, 2, 3, 4, 5], 0x100);
+        let loader = Memloader::new(&[1, 2, 3, 4, 5], 0x100);
         assert_eq!(loader.peek_varint_window(5), &[1, 2, 3, 4, 5]);
         assert_eq!(loader.peek_varint_window(3), &[1, 2, 3]);
         assert_eq!(loader.peek_varint_window(100), &[1, 2, 3, 4, 5]);
@@ -108,7 +106,7 @@ mod tests {
 
     #[test]
     fn consume_advances_cursor_and_address() {
-        let mut loader = Memloader::new(vec![0; 32], 0x100);
+        let mut loader = Memloader::new(&[0; 32], 0x100);
         loader.consume(10);
         assert_eq!(loader.position(), 10);
         assert_eq!(loader.address(), 0x10a);
@@ -117,7 +115,7 @@ mod tests {
 
     #[test]
     fn peek_bytes_respects_limit() {
-        let loader = Memloader::new(vec![9; 16], 0x0);
+        let loader = Memloader::new(&[9; 16], 0x0);
         assert!(loader.peek_bytes(8, 16).is_some());
         assert!(loader.peek_bytes(8, 4).is_none());
         assert!(loader.peek_bytes(17, 32).is_none());
@@ -126,7 +124,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "consume past end")]
     fn consume_past_end_panics() {
-        let mut loader = Memloader::new(vec![0; 4], 0);
+        let mut loader = Memloader::new(&[0; 4], 0);
         loader.consume(5);
+    }
+
+    #[test]
+    #[should_panic(expected = "consume past end")]
+    fn consume_of_usize_max_panics() {
+        let mut loader = Memloader::new(&[0; 4], 0);
+        loader.consume(1);
+        loader.consume(usize::MAX);
     }
 }

@@ -12,8 +12,6 @@
 
 pub mod memloader;
 
-use std::collections::BTreeMap;
-
 use protoacc_mem::{AccessKind, Cycles, Memory};
 use protoacc_runtime::{
     reference, AdtLayout, BumpArena, FieldEntry, TypeCode, ADT_ENTRY_BYTES, REPEATED_HEADER_BYTES,
@@ -46,19 +44,10 @@ pub struct DeserRun {
 /// (Section 4.4.8).
 #[derive(Debug)]
 struct RepeatedRegion {
+    field_number: u32,
     entry: FieldEntry,
     scalars: Vec<u64>,
     ptrs: Vec<u64>,
-}
-
-impl RepeatedRegion {
-    fn new(entry: FieldEntry) -> Self {
-        RepeatedRegion {
-            entry,
-            scalars: Vec::new(),
-            ptrs: Vec::new(),
-        }
-    }
 }
 
 /// Message-level metadata for one level of sub-message nesting
@@ -72,7 +61,45 @@ struct Frame {
     /// When this frame closes, append `obj` to the parent's repeated region
     /// for this field number (used for repeated sub-messages).
     close_into_parent_repeated: Option<u32>,
-    regions: BTreeMap<u32, RepeatedRegion>,
+    /// Open repeated-field regions, sorted by field number: the order
+    /// `close_frame` lays them out in the arena.
+    regions: Vec<RepeatedRegion>,
+}
+
+impl Frame {
+    /// The open region for field `field_number`, opened on first use.
+    fn region(&mut self, field_number: u32, entry: FieldEntry) -> &mut RepeatedRegion {
+        let i = match self
+            .regions
+            .binary_search_by_key(&field_number, |r| r.field_number)
+        {
+            Ok(i) => i,
+            Err(i) => {
+                self.regions.insert(
+                    i,
+                    RepeatedRegion {
+                        field_number,
+                        entry,
+                        scalars: Vec::new(),
+                        ptrs: Vec::new(),
+                    },
+                );
+                i
+            }
+        };
+        &mut self.regions[i]
+    }
+}
+
+/// Host buffers a [`DeserUnit`] reuses from one op to the next. An op
+/// starts by clearing them, so whatever an earlier op left behind, on
+/// success or on error, never shows.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The memloader's copy of the serialized input.
+    input: Vec<u8>,
+    /// The message-level metadata stack.
+    frames: Vec<Frame>,
 }
 
 /// The deserializer unit.
@@ -83,6 +110,7 @@ pub struct DeserUnit {
     tracer: Option<protoacc_trace::SharedTracer>,
     trace_instance: usize,
     trace_origin: Cycles,
+    scratch: Scratch,
 }
 
 impl DeserUnit {
@@ -94,6 +122,7 @@ impl DeserUnit {
             tracer: None,
             trace_instance: 0,
             trace_origin: 0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -179,6 +208,35 @@ impl DeserUnit {
         input_len: u64,
         stats: &mut AccelStats,
     ) -> Result<DeserRun, AccelError> {
+        // The scratch leaves `self` for the op and comes back on every exit.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let result = self.run_with(
+            &mut scratch,
+            mem,
+            arena,
+            adt_ptr,
+            dest_obj,
+            input_addr,
+            input_len,
+            stats,
+        );
+        self.scratch = scratch;
+        result
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn run_with(
+        &mut self,
+        scratch: &mut Scratch,
+        mem: &mut Memory,
+        arena: &mut BumpArena,
+        adt_ptr: u64,
+        dest_obj: u64,
+        input_addr: u64,
+        input_len: u64,
+        stats: &mut AccelStats,
+    ) -> Result<DeserRun, AccelError> {
+        let Scratch { input, frames } = scratch;
         let mut fsm: Cycles = 0;
         let mut fields: u64 = 0;
 
@@ -196,7 +254,9 @@ impl DeserUnit {
                 windows: input_len.div_ceil(memloader::WINDOW_BYTES as u64),
             });
         }
-        let input = mem.data.read_vec(input_addr, input_len as usize);
+        input.clear();
+        input.resize(input_len as usize, 0);
+        mem.data.read_bytes(input_addr, input);
         let mut loader = Memloader::new(input, input_addr);
         // Span bookkeeping for the per-field trace: `(field_number, fsm at
         // key parse)` of the field currently being handled. Only ever
@@ -204,13 +264,14 @@ impl DeserUnit {
         let mut open_field: Option<(u32, Cycles)> = None;
 
         let root_adt = self.load_adt_header(mem, adt_ptr, &mut fsm);
-        let mut frames = vec![Frame {
+        frames.clear();
+        frames.push(Frame {
             adt: root_adt,
             obj: dest_obj,
             end: loader.len(),
             close_into_parent_repeated: None,
-            regions: BTreeMap::new(),
-        }];
+            regions: Vec::new(),
+        });
 
         while !frames.is_empty() {
             let top = frames.len() - 1;
@@ -221,7 +282,7 @@ impl DeserUnit {
                 fsm += 1;
                 self.roll_field_span(&mut open_field, None, fsm);
                 self.emit_fsm(fsm, protoacc_trace::FsmState::CloseFrame, 0);
-                self.close_frame(mem, arena, frame, &mut frames, &mut fsm, stats)?;
+                self.close_frame(mem, arena, frame, frames, &mut fsm, stats)?;
                 if frames.len() >= self.config.stack_depth {
                     fsm += self.config.stack_spill_cycles;
                 }
@@ -253,9 +314,7 @@ impl DeserUnit {
             fsm += adt_cost;
             self.emit_adt(fsm, adt_hit, adt_cost);
             self.emit_fsm(fsm, protoacc_trace::FsmState::TypeInfo, key.field_number());
-            let mut entry_bytes = [0u8; ADT_ENTRY_BYTES as usize];
-            mem.data.read_bytes(entry_addr, &mut entry_bytes);
-            let entry = FieldEntry::from_bytes(&entry_bytes);
+            let entry = FieldEntry::from_bytes(&mem.data.read_array(entry_addr));
             if !entry.is_defined() {
                 self.emit_fsm(fsm, protoacc_trace::FsmState::Skip, key.field_number());
                 self.skip_value(&mut loader, key.wire_type(), frame_end, &mut fsm)?;
@@ -306,13 +365,12 @@ impl DeserUnit {
                 TypeCode::Str | TypeCode::Bytes => {
                     self.emit_fsm(fsm, protoacc_trace::FsmState::Write, key.field_number());
                     let len = self.read_length(&mut loader, frame_end, &mut fsm, stats)?;
-                    let payload = loader
-                        .peek_bytes(len, frame_end)
-                        .ok_or(AccelError::Wire(WireError::LengthOutOfBounds {
+                    let payload = loader.peek_bytes(len, frame_end).ok_or(AccelError::Wire(
+                        WireError::LengthOutOfBounds {
                             declared: len as u64,
                             remaining: frame_end - loader.position(),
-                        }))?
-                        .to_vec();
+                        },
+                    ))?;
                     let string_obj = self.alloc_string(
                         mem,
                         arena,
@@ -325,9 +383,7 @@ impl DeserUnit {
                     loader.consume(len);
                     if entry.repeated {
                         frames[top]
-                            .regions
-                            .entry(key.field_number())
-                            .or_insert_with(|| RepeatedRegion::new(entry))
+                            .region(key.field_number(), entry)
                             .ptrs
                             .push(string_obj);
                         fsm += 1;
@@ -353,18 +409,14 @@ impl DeserUnit {
                     let sub_obj = arena.alloc(sub_adt.object_size, 8)?;
                     stats.allocs += 1;
                     fsm += 1;
-                    mem.data
-                        .write_bytes(sub_obj, &vec![0u8; sub_adt.object_size as usize]);
+                    mem.data.fill(sub_obj, sub_adt.object_size as usize, 0);
                     fsm += mem.system.pipelined(
                         sub_obj,
                         sub_adt.object_size as usize,
                         AccessKind::Write,
                     );
                     let close_into = if entry.repeated {
-                        frames[top]
-                            .regions
-                            .entry(key.field_number())
-                            .or_insert_with(|| RepeatedRegion::new(entry));
+                        frames[top].region(key.field_number(), entry);
                         Some(key.field_number())
                     } else {
                         let slot = frames[top].obj + u64::from(entry.offset);
@@ -396,7 +448,7 @@ impl DeserUnit {
                         obj: sub_obj,
                         end,
                         close_into_parent_repeated: close_into,
-                        regions: BTreeMap::new(),
+                        regions: Vec::new(),
                     });
                 }
                 _scalar => {
@@ -421,9 +473,7 @@ impl DeserUnit {
                                 stats,
                             )?;
                             frames[top]
-                                .regions
-                                .entry(key.field_number())
-                                .or_insert_with(|| RepeatedRegion::new(entry))
+                                .region(key.field_number(), entry)
                                 .scalars
                                 .push(bits);
                         }
@@ -437,17 +487,15 @@ impl DeserUnit {
                         )?;
                         if entry.repeated {
                             frames[top]
-                                .regions
-                                .entry(key.field_number())
-                                .or_insert_with(|| RepeatedRegion::new(entry))
+                                .region(key.field_number(), entry)
                                 .scalars
                                 .push(bits);
                             fsm += 1;
                         } else {
-                            let size = entry.type_code.scalar_size().expect("scalar type") as usize;
+                            let size = entry.type_code.scalar_size().expect("scalar type");
                             let slot = frames[top].obj + u64::from(entry.offset);
-                            mem.data.write_bytes(slot, &bits.to_le_bytes()[..size]);
-                            fsm += mem.system.pipelined(slot, size, AccessKind::Write);
+                            write_scalar_bits(mem, slot, bits, size);
+                            fsm += mem.system.pipelined(slot, size as usize, AccessKind::Write);
                         }
                     }
                 }
@@ -504,7 +552,7 @@ impl DeserUnit {
         &mut self,
         mem: &mut Memory,
         arena: &mut BumpArena,
-        payload: Vec<u8>,
+        payload: &[u8],
         is_text: bool,
         field_number: u32,
         fsm: &mut Cycles,
@@ -514,7 +562,7 @@ impl DeserUnit {
             // Proto3 support (Section 7): the validator checks one window
             // per cycle, overlapped with the copy; only the final-window
             // verdict adds a cycle beyond the copy itself.
-            match Utf8Validator::validate(&payload, self.config.window_bytes) {
+            match Utf8Validator::validate(payload, self.config.window_bytes) {
                 Some(_cycles) => *fsm += 1,
                 None => {
                     return Err(AccelError::Runtime(
@@ -535,7 +583,7 @@ impl DeserUnit {
         mem.data.write_u64(obj + 8, payload.len() as u64);
         if payload.len() <= STRING_SSO_CAPACITY {
             mem.data.write_u64(obj, obj + 16);
-            mem.data.write_bytes(obj + 16, &payload);
+            mem.data.write_bytes(obj + 16, payload);
             *fsm += mem
                 .system
                 .pipelined(obj, STRING_OBJECT_BYTES as usize, AccessKind::Write);
@@ -544,7 +592,7 @@ impl DeserUnit {
             stats.allocs += 1;
             mem.data.write_u64(obj, buf);
             mem.data.write_u64(obj + 16, payload.len() as u64 + 1);
-            mem.data.write_bytes(buf, &payload);
+            mem.data.write_bytes(buf, payload);
             *fsm += mem
                 .system
                 .pipelined(obj, STRING_OBJECT_BYTES as usize, AccessKind::Write);
@@ -600,7 +648,7 @@ impl DeserUnit {
         fsm: &mut Cycles,
         stats: &mut AccelStats,
     ) -> Result<(), AccelError> {
-        for region in frame.regions.values() {
+        for region in &frame.regions {
             let (count, elem_size, elems_are_ptrs) = if region.ptrs.is_empty() {
                 (
                     region.scalars.len() as u64,
@@ -629,10 +677,7 @@ impl DeserUnit {
                 }
             } else {
                 for (i, &bits) in region.scalars.iter().enumerate() {
-                    mem.data.write_bytes(
-                        data + i as u64 * elem_size,
-                        &bits.to_le_bytes()[..elem_size as usize],
-                    );
+                    write_scalar_bits(mem, data + i as u64 * elem_size, bits, elem_size);
                 }
             }
             *fsm += mem
@@ -644,12 +689,11 @@ impl DeserUnit {
         }
         if let Some(field_number) = frame.close_into_parent_repeated {
             let parent = frames.last_mut().expect("parent frame for repeated sub");
-            parent
+            let i = parent
                 .regions
-                .get_mut(&field_number)
-                .expect("region opened at push")
-                .ptrs
-                .push(frame.obj);
+                .binary_search_by_key(&field_number, |r| r.field_number)
+                .expect("region opened at push");
+            parent.regions[i].ptrs.push(frame.obj);
         }
         Ok(())
     }
@@ -672,6 +716,16 @@ fn varint_at(loader: &Memloader, limit: usize) -> Result<DecodedVarint, AccelErr
             }
         },
     ))
+}
+
+/// Stores the low `size` bytes of a scalar's in-memory bits at `addr`.
+fn write_scalar_bits(mem: &mut Memory, addr: u64, bits: u64, size: u64) {
+    match size {
+        1 => mem.data.write_u8(addr, bits as u8),
+        4 => mem.data.write_u32(addr, bits as u32),
+        8 => mem.data.write_u64(addr, bits),
+        other => unreachable!("no {other}-byte scalars"),
+    }
 }
 
 /// Decodes one scalar (varint or fixed) value, returning its in-memory bits.

@@ -26,6 +26,15 @@ impl FsuPool {
         }
     }
 
+    /// Returns the pool to the state `FsuPool::new(units)` builds, keeping
+    /// its storage.
+    pub fn reset(&mut self, units: usize) {
+        self.busy.clear();
+        self.busy.resize(units.max(1), 0);
+        self.next = 0;
+        self.ops = 0;
+    }
+
     /// Dispatches one handle-field-op costing `cycles` to the next unit.
     /// Returns `(unit index, unit busy time before this op)` so observers can
     /// reconstruct the op's slot in that unit's busy timeline.
@@ -70,6 +79,24 @@ mod tests {
             pool.dispatch(10);
         }
         assert_eq!(pool.max_busy(), 80);
+    }
+
+    #[test]
+    fn reset_matches_a_fresh_pool() {
+        let mut pool = FsuPool::new(4);
+        for cycles in 1..8 {
+            pool.dispatch(cycles);
+        }
+        for units in [0, 1, 3, 6] {
+            pool.reset(units);
+            let mut fresh = FsuPool::new(units);
+            assert_eq!((pool.max_busy(), pool.ops()), (0, 0));
+            for cycles in [5, 9, 2, 7, 4, 1, 8] {
+                assert_eq!(pool.dispatch(cycles), fresh.dispatch(cycles));
+            }
+            assert_eq!(pool.max_busy(), fresh.max_busy());
+            pool.dispatch(100);
+        }
     }
 
     #[test]

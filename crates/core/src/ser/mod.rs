@@ -41,6 +41,19 @@ pub struct SerRun {
     pub fields: u64,
 }
 
+/// Host buffers a [`SerUnit`] reuses from one op to the next. An op starts
+/// by resetting them, so whatever an earlier op left behind, on success or
+/// on error, never shows.
+#[derive(Debug)]
+struct Scratch {
+    pool: FsuPool,
+    /// Hasbits of the messages being serialized: one slice per nesting
+    /// level, pushed on entry and truncated away on return.
+    hasbits: Vec<u8>,
+    /// A string field's payload on its way to the memwriter.
+    payload: Vec<u8>,
+}
+
 /// The serializer unit.
 #[derive(Debug)]
 pub struct SerUnit {
@@ -49,6 +62,8 @@ pub struct SerUnit {
     tracer: Option<protoacc_trace::SharedTracer>,
     trace_instance: usize,
     trace_origin: Cycles,
+    /// Out of the unit while an op runs; built by the first op.
+    scratch: Option<Scratch>,
 }
 
 impl SerUnit {
@@ -60,6 +75,7 @@ impl SerUnit {
             tracer: None,
             trace_instance: 0,
             trace_origin: 0,
+            scratch: None,
         }
     }
 
@@ -112,8 +128,29 @@ impl SerUnit {
         obj_ptr: u64,
         stats: &mut AccelStats,
     ) -> Result<SerRun, AccelError> {
+        let units = self.config.field_serializers;
+        let mut scratch = self.scratch.take().unwrap_or_else(|| Scratch {
+            pool: FsuPool::new(units),
+            hasbits: Vec::new(),
+            payload: Vec::new(),
+        });
+        scratch.pool.reset(units);
+        scratch.hasbits.clear();
+        let result = self.run_with(&mut scratch, mem, writer, adt_ptr, obj_ptr, stats);
+        self.scratch = Some(scratch);
+        result
+    }
+
+    fn run_with(
+        &mut self,
+        scratch: &mut Scratch,
+        mem: &mut Memory,
+        writer: &mut ReverseWriter,
+        adt_ptr: u64,
+        obj_ptr: u64,
+        stats: &mut AccelStats,
+    ) -> Result<SerRun, AccelError> {
         let mut frontend: Cycles = 0;
-        let mut pool = FsuPool::new(self.config.field_serializers);
         let mut fields: u64 = 0;
         let writer_cycles_before = writer.cycles();
         let cursor_before = writer.cursor();
@@ -121,7 +158,7 @@ impl SerUnit {
         self.ser_message(
             mem,
             writer,
-            &mut pool,
+            scratch,
             adt_ptr,
             obj_ptr,
             &mut frontend,
@@ -133,7 +170,7 @@ impl SerUnit {
         let out_addr = writer.cursor();
         let out_len = cursor_before - out_addr;
         let memwriter_cycles = writer.cycles() - writer_cycles_before;
-        let fsu_cycles = pool.max_busy();
+        let fsu_cycles = scratch.pool.max_busy();
         if self.tracer.is_some() && memwriter_cycles > 0 {
             self.emit(protoacc_trace::TraceEvent::MemwriterFlush {
                 instance: self.trace_instance,
@@ -172,7 +209,7 @@ impl SerUnit {
         &mut self,
         mem: &mut Memory,
         writer: &mut ReverseWriter,
-        pool: &mut FsuPool,
+        scratch: &mut Scratch,
         adt_ptr: u64,
         obj_ptr: u64,
         frontend: &mut Cycles,
@@ -200,13 +237,17 @@ impl SerUnit {
             .pipelined(adt.is_submessage, hasbits_bytes, AccessKind::Read);
         *frontend += hb_cost.max(sub_cost) + span.div_ceil(64);
         // The timed fetch above is the hardware's; functionally read the
-        // span's hasbits once rather than per field number.
-        let hasbits = mem.data.read_vec(hasbits_addr, hasbits_bytes);
+        // span's hasbits once rather than per field number. Sub-messages
+        // push their own slice above this one and truncate it on return.
+        let base = scratch.hasbits.len();
+        scratch.hasbits.resize(base + hasbits_bytes, 0);
+        mem.data
+            .read_bytes(hasbits_addr, &mut scratch.hasbits[base..]);
 
         // Reverse field-number order (Section 4.5.1).
         for number in (adt.min_field..=adt.max_field).rev() {
             let bit = u64::from(number - adt.min_field);
-            let set = hasbits[(bit / 8) as usize] & (1 << (bit % 8)) != 0;
+            let set = scratch.hasbits[base + (bit / 8) as usize] & (1 << (bit % 8)) != 0;
             if !set {
                 continue;
             }
@@ -224,9 +265,7 @@ impl SerUnit {
                     .load(&mut mem.system, entry_addr, ADT_ENTRY_BYTES as usize);
             *frontend += entry_cost;
             self.emit_adt(*frontend, entry_hit, entry_cost);
-            let mut entry_bytes = [0u8; ADT_ENTRY_BYTES as usize];
-            mem.data.read_bytes(entry_addr, &mut entry_bytes);
-            let entry = FieldEntry::from_bytes(&entry_bytes);
+            let entry = FieldEntry::from_bytes(&mem.data.read_array(entry_addr));
             if !entry.is_defined() {
                 continue; // stray hasbit in a field-number gap
             }
@@ -252,7 +291,7 @@ impl SerUnit {
                         self.ser_message(
                             mem,
                             writer,
-                            pool,
+                            scratch,
                             entry.sub_adt,
                             elem_ptr,
                             frontend,
@@ -269,7 +308,7 @@ impl SerUnit {
                     self.ser_message(
                         mem,
                         writer,
-                        pool,
+                        scratch,
                         entry.sub_adt,
                         sub_obj,
                         frontend,
@@ -284,8 +323,16 @@ impl SerUnit {
             }
 
             // Non-sub-message field: one handle-field-op to an FSU.
-            let fsu_cost = self.ser_field(mem, writer, entry, number, slot, stats)?;
-            let (unit, start_busy) = pool.dispatch(fsu_cost);
+            let fsu_cost = self.ser_field(
+                mem,
+                writer,
+                &mut scratch.payload,
+                entry,
+                number,
+                slot,
+                stats,
+            )?;
+            let (unit, start_busy) = scratch.pool.dispatch(fsu_cost);
             if self.tracer.is_some() {
                 self.emit(protoacc_trace::TraceEvent::FsuOp {
                     instance: self.trace_instance,
@@ -296,14 +343,17 @@ impl SerUnit {
                 });
             }
         }
+        scratch.hasbits.truncate(base);
         Ok(())
     }
 
     /// Serializes one non-message field, returning the FSU busy cycles.
+    #[allow(clippy::too_many_arguments)]
     fn ser_field(
         &mut self,
         mem: &mut Memory,
         writer: &mut ReverseWriter,
+        payload: &mut Vec<u8>,
         entry: FieldEntry,
         number: u32,
         slot: u64,
@@ -318,11 +368,11 @@ impl SerUnit {
                     let count = slot_read(mem, header + 8, &mut cost);
                     for i in (0..count).rev() {
                         let str_obj = slot_read(mem, data + i * 8, &mut cost);
-                        cost += self.emit_string(mem, writer, str_obj, number, stats)?;
+                        cost += self.emit_string(mem, writer, payload, str_obj, number, stats)?;
                     }
                 } else {
                     let str_obj = slot_read(mem, slot, &mut cost);
-                    cost += self.emit_string(mem, writer, str_obj, number, stats)?;
+                    cost += self.emit_string(mem, writer, payload, str_obj, number, stats)?;
                 }
             }
             scalar => {
@@ -413,11 +463,13 @@ impl SerUnit {
         }
     }
 
-    /// Emits `[key][len][payload]` for a string/bytes field.
+    /// Emits `[key][len][payload]` for a string/bytes field, staging the
+    /// payload in `payload`.
     fn emit_string(
         &mut self,
         mem: &mut Memory,
         writer: &mut ReverseWriter,
+        payload: &mut Vec<u8>,
         string_obj: u64,
         number: u32,
         stats: &mut AccelStats,
@@ -428,8 +480,10 @@ impl SerUnit {
         cost += mem
             .system
             .pipelined(data_ptr, len as usize, AccessKind::Read);
-        let payload = mem.data.read_vec(data_ptr, len as usize);
-        writer.prepend(mem, &payload)?;
+        payload.clear();
+        payload.resize(len as usize, 0);
+        mem.data.read_bytes(data_ptr, payload);
+        writer.prepend(mem, payload)?;
         writer.prepend_varint(&mut *mem, len)?;
         let key = FieldKey::new(number, WireType::LengthDelimited).expect("valid field number");
         let encoded = CombVarintEncoder::encode(key.encoded());

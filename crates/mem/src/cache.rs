@@ -60,6 +60,9 @@ impl CacheStats {
     }
 }
 
+/// Sets per lazily allocated tag block.
+const SETS_PER_BLOCK: usize = 64;
+
 /// One level of set-associative cache: tag array only (data lives in
 /// [`crate::GuestMemory`]), true LRU within each set.
 #[derive(Debug, Clone)]
@@ -68,18 +71,24 @@ pub struct CacheModel {
     /// `sets() - 1`: the geometry is a power of two, so a line's set is its
     /// low bits.
     set_mask: usize,
-    /// Per set: tags in LRU order, most-recently-used last.
-    sets: Vec<Vec<u64>>,
+    /// Per set: how many of its `ways` tag slots are valid.
+    lens: Vec<u32>,
+    /// Tag storage, `SETS_PER_BLOCK` sets of `ways` slots per block, each
+    /// block allocated when one of its sets is first filled. A set's valid
+    /// tags are in LRU order, most-recently-used last.
+    blocks: Vec<Option<Box<[u64]>>>,
     stats: CacheStats,
 }
 
 impl CacheModel {
     /// Creates an empty (all-invalid) cache.
     pub fn new(config: CacheConfig) -> Self {
+        let sets = config.sets();
         CacheModel {
             config,
-            set_mask: config.sets() - 1,
-            sets: vec![Vec::with_capacity(config.ways); config.sets()],
+            set_mask: sets - 1,
+            lens: vec![0; sets],
+            blocks: vec![None; sets.div_ceil(SETS_PER_BLOCK)],
             stats: CacheStats::default(),
         }
     }
@@ -108,21 +117,31 @@ impl CacheModel {
     ///
     /// Returns `true` on hit.
     pub fn access_line(&mut self, line: u64) -> bool {
-        let set = &mut self.sets[(line as usize) & self.set_mask];
+        let ways = self.config.ways;
+        let set = (line as usize) & self.set_mask;
+        let len = self.lens[set] as usize;
+        let block_sets = SETS_PER_BLOCK.min(self.lens.len());
+        let block = self.blocks[set / SETS_PER_BLOCK]
+            .get_or_insert_with(|| vec![0; block_sets * ways].into_boxed_slice());
+        let start = (set % SETS_PER_BLOCK) * ways;
+        let tags = &mut block[start..start + ways];
         // Tags are unique within a set and most hits are recent, so scan
         // from the MRU end.
-        if let Some(pos) = set.iter().rposition(|&t| t == line) {
-            if pos + 1 != set.len() {
-                set.remove(pos);
-                set.push(line);
+        if let Some(pos) = tags[..len].iter().rposition(|&t| t == line) {
+            if pos + 1 != len {
+                tags.copy_within(pos + 1..len, pos);
+                tags[len - 1] = line;
             }
             self.stats.hits += 1;
             true
         } else {
-            if set.len() == self.config.ways {
-                set.remove(0); // evict LRU
+            if len == ways {
+                tags.copy_within(1.., 0); // evict LRU
+                tags[ways - 1] = line;
+            } else {
+                tags[len] = line;
+                self.lens[set] += 1;
             }
-            set.push(line);
             self.stats.misses += 1;
             false
         }
@@ -130,9 +149,7 @@ impl CacheModel {
 
     /// Invalidates every line.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.lens.fill(0);
     }
 }
 

@@ -73,6 +73,47 @@ impl GuestMemory {
         }
     }
 
+    /// Sets `len` bytes starting at `addr` to `byte`. Like a write, it
+    /// makes every page it touches resident.
+    pub fn fill(&mut self, addr: u64, len: usize, byte: u8) {
+        let mut done = 0;
+        while done < len {
+            let cur = addr.wrapping_add(done as u64);
+            let page_number = cur / PAGE_SIZE as u64;
+            let offset = (cur % PAGE_SIZE as u64) as usize;
+            let chunk = (PAGE_SIZE - offset).min(len - done);
+            self.page_mut(page_number)[offset..offset + chunk].fill(byte);
+            done += chunk;
+        }
+    }
+
+    /// Reads `N` bytes starting at `addr`: one page lookup and a
+    /// fixed-size copy when they share a page.
+    pub fn read_array<const N: usize>(&self, addr: u64) -> [u8; N] {
+        let mut out = [0u8; N];
+        let offset = (addr % PAGE_SIZE as u64) as usize;
+        if N <= PAGE_SIZE - offset {
+            if let Some(page) = self.pages.get(&(addr / PAGE_SIZE as u64)) {
+                out.copy_from_slice(&page[offset..offset + N]);
+            }
+        } else {
+            self.read_bytes(addr, &mut out);
+        }
+        out
+    }
+
+    /// Writes the `N` bytes of `bytes` starting at `addr`: one page lookup
+    /// and a fixed-size copy when they share a page.
+    pub fn write_array<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) {
+        let offset = (addr % PAGE_SIZE as u64) as usize;
+        // An empty write must not make a page resident.
+        if 0 < N && N <= PAGE_SIZE - offset {
+            self.page_mut(addr / PAGE_SIZE as u64)[offset..offset + N].copy_from_slice(&bytes);
+        } else {
+            self.write_bytes(addr, &bytes);
+        }
+    }
+
     /// Reads `len` bytes into a fresh vector.
     pub fn read_vec(&self, addr: u64, len: usize) -> Vec<u8> {
         let mut buf = vec![0u8; len];
@@ -82,50 +123,42 @@ impl GuestMemory {
 
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
-        let mut b = [0u8; 1];
-        self.read_bytes(addr, &mut b);
-        b[0]
+        self.read_array::<1>(addr)[0]
     }
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        self.write_bytes(addr, &[value]);
+        self.write_array(addr, [value]);
     }
 
     /// Reads a little-endian u16.
     pub fn read_u16(&self, addr: u64) -> u16 {
-        let mut b = [0u8; 2];
-        self.read_bytes(addr, &mut b);
-        u16::from_le_bytes(b)
+        u16::from_le_bytes(self.read_array(addr))
     }
 
     /// Writes a little-endian u16.
     pub fn write_u16(&mut self, addr: u64, value: u16) {
-        self.write_bytes(addr, &value.to_le_bytes());
+        self.write_array(addr, value.to_le_bytes());
     }
 
     /// Reads a little-endian u32.
     pub fn read_u32(&self, addr: u64) -> u32 {
-        let mut b = [0u8; 4];
-        self.read_bytes(addr, &mut b);
-        u32::from_le_bytes(b)
+        u32::from_le_bytes(self.read_array(addr))
     }
 
     /// Writes a little-endian u32.
     pub fn write_u32(&mut self, addr: u64, value: u32) {
-        self.write_bytes(addr, &value.to_le_bytes());
+        self.write_array(addr, value.to_le_bytes());
     }
 
     /// Reads a little-endian u64.
     pub fn read_u64(&self, addr: u64) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        u64::from_le_bytes(b)
+        u64::from_le_bytes(self.read_array(addr))
     }
 
     /// Writes a little-endian u64.
     pub fn write_u64(&mut self, addr: u64, value: u64) {
-        self.write_bytes(addr, &value.to_le_bytes());
+        self.write_array(addr, value.to_le_bytes());
     }
 }
 
@@ -186,6 +219,17 @@ mod tests {
         assert_eq!(mem.read_vec(u64::MAX - 3, 4), vec![1, 2, 3, 4]);
         assert_eq!(mem.read_vec(0, 4), vec![5, 6, 7, 8]);
         assert_eq!(mem.resident_pages(), 2);
+    }
+
+    #[test]
+    fn fill_sets_bytes_across_pages_and_the_wrap() {
+        let mut mem = GuestMemory::new();
+        mem.fill(u64::MAX - 1, 4, 0xaa);
+        assert_eq!(mem.read_u32(u64::MAX - 1), 0xaaaa_aaaa);
+        mem.fill(PAGE_SIZE as u64 - 1, 2, 0);
+        assert_eq!(mem.resident_pages(), 3, "zero fills make pages resident");
+        mem.fill(1 << 40, 0, 7);
+        assert_eq!(mem.resident_pages(), 3, "empty fills touch nothing");
     }
 
     #[test]

@@ -241,6 +241,9 @@ pub struct MemSystem {
     requester: usize,
     requesters: Vec<RequesterStats>,
     sharers: u64,
+    /// The latency-overlap factor streams see under the current sharing:
+    /// the outstanding-request budget split across `sharers`, at least 1.
+    overlap: u64,
     tracing: bool,
     trace: Vec<AccessRecord>,
     armed: Vec<ArmedFault>,
@@ -271,6 +274,7 @@ impl MemSystem {
             requester: 0,
             requesters: vec![RequesterStats::default()],
             sharers: 1,
+            overlap: overlap(&config, 1),
             tracing: false,
             trace: Vec::new(),
             armed: Vec::new(),
@@ -431,16 +435,12 @@ impl MemSystem {
     /// uncontended behavior.
     pub fn set_sharers(&mut self, sharers: usize) {
         self.sharers = sharers.max(1) as u64;
+        self.overlap = overlap(&self.config, self.sharers);
     }
 
     /// The currently configured sharer count.
     pub fn sharers(&self) -> usize {
         self.sharers as usize
-    }
-
-    /// The latency-overlap factor streams see under the current sharing.
-    fn effective_overlap(&self) -> u64 {
-        (self.config.max_outstanding.max(1) as u64 / self.sharers).max(1)
     }
 
     /// Charges one access of `len` bytes at `addr` and returns its cycle
@@ -492,8 +492,7 @@ impl MemSystem {
         // overlap: charge the worst single latency once, plus the serialized
         // remainder divided by the overlap factor, plus bus occupancy. The
         // overlap budget shrinks when other requesters share the interface.
-        let overlap = self.effective_overlap();
-        let hidden = sum.saturating_sub(worst) / overlap;
+        let hidden = sum.saturating_sub(worst) / self.overlap;
         let bus = len.div_ceil(BUS_WIDTH_BYTES) as u64 * self.sharers;
         let cost = (tlb_cost + worst + hidden + bus).saturating_add(self.check_faults(addr, len));
         self.note(len, cost);
@@ -526,8 +525,7 @@ impl MemSystem {
         for line in blocks(addr, len, self.line_shift) {
             probe_sum += self.probe(line);
         }
-        let overlap = self.effective_overlap();
-        cost += len.div_ceil(BUS_WIDTH_BYTES) as u64 * self.sharers + probe_sum / overlap;
+        cost += len.div_ceil(BUS_WIDTH_BYTES) as u64 * self.sharers + probe_sum / self.overlap;
         let cost = cost.saturating_add(self.check_faults(addr, len));
         self.note(len, cost);
         self.emit_mem_event(
@@ -670,6 +668,12 @@ impl MemSystem {
         }
         self.llc.reset_stats();
     }
+}
+
+/// The latency-overlap factor of `config`'s outstanding-request budget
+/// split across `sharers` requesters.
+fn overlap(config: &MemConfig, sharers: u64) -> u64 {
+    (config.max_outstanding.max(1) as u64 / sharers).max(1)
 }
 
 /// `log2(PAGE_SIZE)`.

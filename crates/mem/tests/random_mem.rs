@@ -19,24 +19,88 @@ fn cases(default: usize) -> usize {
 }
 
 /// Guest memory behaves like a flat byte array: the last write to each
-/// byte wins, unwritten bytes read zero.
+/// byte wins, unwritten bytes read zero. The array straddles the top of the
+/// address space, and half the operations land on a page edge, so the
+/// page-crossing and wrapping paths of every read, write, scalar and fill
+/// are compared too.
 #[test]
 fn guest_memory_matches_flat_model() {
+    const WINDOW: usize = 1 << 16;
+    // The window's second half lies past the wrap, at addresses 0 and up.
+    let base = 0u64.wrapping_sub(WINDOW as u64 / 2);
     let mut rng = StdRng::seed_from_u64(0x3E_0001);
     for _ in 0..cases(64) {
         let mut mem = GuestMemory::new();
-        let mut model = vec![0u8; (1 << 16) + 64];
-        for _ in 0..rng.gen_range(0usize..24) {
-            let addr = rng.gen_range(0u64..1 << 16);
-            let mut bytes = vec![0u8; rng.gen_range(1usize..64)];
-            rng.fill(&mut bytes);
-            mem.write_bytes(addr, &bytes);
-            model[addr as usize..addr as usize + bytes.len()].copy_from_slice(&bytes);
+        let mut model = vec![0u8; WINDOW];
+        let offset = |rng: &mut StdRng| {
+            if rng.gen_bool(0.5) {
+                rng.gen_range(1..WINDOW / PAGE_SIZE) * PAGE_SIZE - rng.gen_range(0usize..8)
+            } else {
+                rng.gen_range(0..WINDOW - 64)
+            }
+        };
+        for _ in 0..rng.gen_range(0usize..48) {
+            let off = offset(&mut rng);
+            let addr = base.wrapping_add(off as u64);
+            let bytes = match rng.gen_range(0u32..6) {
+                0 => {
+                    let mut bytes = vec![0u8; rng.gen_range(1usize..64)];
+                    rng.fill(&mut bytes);
+                    mem.write_bytes(addr, &bytes);
+                    bytes
+                }
+                1 => {
+                    let v = rng.gen_range(0u8..=255);
+                    mem.write_u8(addr, v);
+                    vec![v]
+                }
+                2 => {
+                    let v = rng.gen_range(0u16..=u16::MAX);
+                    mem.write_u16(addr, v);
+                    v.to_le_bytes().to_vec()
+                }
+                3 => {
+                    let v = rng.gen_range(0u32..=u32::MAX);
+                    mem.write_u32(addr, v);
+                    v.to_le_bytes().to_vec()
+                }
+                4 => {
+                    let v = rng.gen_range(0u64..=u64::MAX);
+                    mem.write_u64(addr, v);
+                    v.to_le_bytes().to_vec()
+                }
+                _ => {
+                    let (len, byte) = (rng.gen_range(0usize..64), rng.gen_range(0u8..=255));
+                    mem.fill(addr, len, byte);
+                    vec![byte; len]
+                }
+            };
+            model[off..off + bytes.len()].copy_from_slice(&bytes);
         }
-        let probe = rng.gen_range(0u64..1 << 16);
-        let mut buf = [0u8; 32];
-        mem.read_bytes(probe, &mut buf);
-        assert_eq!(&buf[..], &model[probe as usize..probe as usize + 32]);
+        for _ in 0..8 {
+            let off = offset(&mut rng);
+            let addr = base.wrapping_add(off as u64);
+            let at = |n: usize| &model[off..off + n];
+            let mut buf = [0u8; 32];
+            mem.read_bytes(addr, &mut buf);
+            assert_eq!(&buf[..], at(32), "read_bytes at {addr:#x}");
+            assert_eq!(mem.read_u8(addr), at(1)[0], "read_u8 at {addr:#x}");
+            assert_eq!(
+                mem.read_u16(addr).to_le_bytes(),
+                at(2),
+                "read_u16 at {addr:#x}"
+            );
+            assert_eq!(
+                mem.read_u32(addr).to_le_bytes(),
+                at(4),
+                "read_u32 at {addr:#x}"
+            );
+            assert_eq!(
+                mem.read_u64(addr).to_le_bytes(),
+                at(8),
+                "read_u64 at {addr:#x}"
+            );
+        }
     }
 }
 
@@ -240,24 +304,28 @@ fn conflicting_key(rng: &mut StdRng, capacity: usize, stride: u64) -> u64 {
 }
 
 /// `CacheModel` hits and misses exactly like a per-set naive LRU, across
-/// same-set conflicts, evictions past associativity and flushes.
+/// same-set conflicts, evictions past associativity and flushes. Geometries
+/// reach 512 sets, past one lazily allocated 64-set tag block, and 16 ways,
+/// the LLC's associativity.
 #[test]
 fn cache_model_matches_naive_lru() {
     let mut rng = StdRng::seed_from_u64(0x3E_0007);
     for _ in 0..cases(32) {
-        let sets = 1usize << rng.gen_range(0u32..4);
-        let ways = rng.gen_range(1usize..9);
+        let sets = 1usize << rng.gen_range(0u32..10);
+        let ways = rng.gen_range(1usize..17);
         let mut cache = CacheModel::new(CacheConfig::new(sets * ways * 64, ways, 64));
         let mut reference: Vec<NaiveLru> = (0..sets).map(|_| NaiveLru::new(ways)).collect();
-        let home = rng.gen_range(0..sets as u64);
-        for step in 0..500 {
-            if rng.gen_range(0u32..200) == 0 {
+        // A few conflict-heavy sets, likely in different tag blocks.
+        let homes: Vec<u64> = (0..4).map(|_| rng.gen_range(0..sets as u64)).collect();
+        for step in 0..2000 {
+            if rng.gen_range(0u32..400) == 0 {
                 cache.flush();
                 reference.iter_mut().for_each(|set| set.keys.clear());
             }
             // Lines `home + k * sets` all map to one set.
             let line = if rng.gen_bool(0.7) {
-                home + conflicting_key(&mut rng, ways, 1) * sets as u64
+                homes[rng.gen_range(0..homes.len())]
+                    + conflicting_key(&mut rng, ways, 1) * sets as u64
             } else {
                 rng.gen_range(0u64..(sets * ways * 4) as u64)
             };

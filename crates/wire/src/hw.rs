@@ -60,6 +60,9 @@ impl CombVarintDecoder {
     /// Returns `None` if no terminator lies within the available bytes — the
     /// FSM then either waits for more data or raises truncation.
     pub fn decode_avail(avail: &[u8]) -> Option<DecodedVarint> {
+        if let Some(window) = avail.first_chunk::<MAX_VARINT_LEN>() {
+            return Self::decode(window);
+        }
         let mut window = [0x80u8; MAX_VARINT_LEN];
         let n = avail.len().min(MAX_VARINT_LEN);
         window[..n].copy_from_slice(&avail[..n]);

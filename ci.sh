@@ -7,17 +7,20 @@
 #   2. lints                cargo clippy --all-targets -- -D warnings
 #   3. tier-1 tests         cargo build --release && cargo test
 #   4. full workspace tests cargo test --workspace
-#   4b. simulator gates     the repo benchmark's self-tests (including its
+#   4b. benchmark gates     the repo benchmark's self-tests (including its
 #                           MemSystem replay, which must reproduce traced
 #                           access counts and per-level hits exactly); the
 #                           protoacc-mem and protoacc randomized suites at
 #                           slow-tests scale (pinned per-call cost digest,
 #                           LRU equivalence against naive references, unit
-#                           reuse after rejected ops); and 3 s sim_fleet and
-#                           rpc_overload benchmark runs, gated on exit code
-#                           only (every trial must replay the same simulated
-#                           fingerprint, so host scratch state leaking from
-#                           one command into the next fails the run)
+#                           reuse after rejected ops); and 3 s sim_fleet,
+#                           rpc_overload and codec_hyperbench benchmark runs,
+#                           gated on exit code only (every simulator trial
+#                           must replay the same simulated fingerprint, and
+#                           every codec message must re-encode byte for byte
+#                           through one reused arena, so host scratch state
+#                           leaking from one command or message into the
+#                           next fails the run)
 #   5. schema lint gate     protoacc-lint --format json protos/
 #                           (fails on any deny-level diagnostic)
 #   5b. descriptor ingestion protoacc-lint --descriptor-set protos/chain
@@ -96,11 +99,11 @@ cargo test --offline -q
 echo "== full workspace tests =="
 cargo test --offline --workspace -q
 
-echo "== simulator gates (benchmark self-tests, slow mem/accel suites, benchmark smoke) =="
+echo "== benchmark gates (self-tests, slow mem/accel suites, simulator and codec smoke) =="
 cargo test --offline -q --release --manifest-path perfbench/Cargo.toml
 cargo test --offline -q --release -p protoacc-mem --features slow-tests
 cargo test --offline -q --release -p protoacc --features slow-tests
-for workload in sim_fleet rpc_overload; do
+for workload in sim_fleet rpc_overload codec_hyperbench; do
     python3 perfbench/run.py --workload "$workload" --seconds 3 | tail -n 1
 done
 

@@ -13,7 +13,15 @@
 //! buffer (which must outlive the arena's contents). Repeated fields store
 //! a 24-byte `{data_offset, count, capacity}` header, matching the
 //! `REPEATED_HEADER_BYTES` shape the rest of the suite uses.
+//!
+//! The arena also owns the codec's scratch state, so that a steady-state
+//! decode and encode reuse buffers instead of allocating: the decoder's
+//! repeated-field accumulators and element-buffer pool, and the encoder's
+//! reverse writer.
 
+use std::cell::RefCell;
+
+use crate::reverse::ReverseWriter;
 use protoacc_runtime::{ArenaError, RuntimeError};
 
 /// Default ceiling on decoded-object storage. Hostile inputs cannot make a
@@ -23,11 +31,39 @@ use protoacc_runtime::{ArenaError, RuntimeError};
 /// class as the guest-memory arenas.
 pub const DEFAULT_LIMIT: usize = 1 << 30;
 
-/// A bump allocator over one host buffer.
+/// Accumulator for one repeated field within one message frame.
+#[derive(Debug, Clone)]
+pub(crate) struct RepAccum {
+    pub(crate) number: u32,
+    pub(crate) elems: Vec<u64>,
+}
+
+/// The decoder's reusable scratch: one accumulator stack shared by every
+/// frame of a decode (each frame owns `accums[base..]`) and a pool of
+/// element buffers recycled across frames and decodes.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DecodeScratch {
+    pub(crate) accums: Vec<RepAccum>,
+    pub(crate) pool: Vec<Vec<u64>>,
+}
+
+impl DecodeScratch {
+    /// Returns every accumulator's buffer to the pool — what a decode that
+    /// stopped on an error leaves behind.
+    pub(crate) fn recycle(&mut self) {
+        self.pool.extend(self.accums.drain(..).map(|acc| acc.elems));
+    }
+}
+
+/// A bump allocator over one host buffer, plus the codec's scratch.
 #[derive(Debug, Clone)]
 pub struct DecodeArena {
     buf: Vec<u8>,
     limit: usize,
+    pub(crate) scratch: DecodeScratch,
+    /// The encoder's writer. `FastCodec::encode_decoded` reads the arena
+    /// through `&self`, hence the `RefCell`; it starts with no capacity.
+    pub(crate) writer: RefCell<ReverseWriter>,
 }
 
 impl DecodeArena {
@@ -41,6 +77,8 @@ impl DecodeArena {
         DecodeArena {
             buf: Vec::new(),
             limit,
+            scratch: DecodeScratch::default(),
+            writer: RefCell::new(ReverseWriter::with_capacity(0)),
         }
     }
 
@@ -61,20 +99,27 @@ impl DecodeArena {
 
     /// Allocates `size` zeroed bytes, 8-byte aligned, returning the offset.
     ///
+    /// Offsets are `u32`, so the arena never grows past `u32::MAX` bytes
+    /// whatever its limit.
+    ///
     /// # Errors
     ///
-    /// `ResourceExhausted`-class error when the backstop limit is exceeded.
+    /// `ResourceExhausted`-class error when the backstop limit (or the
+    /// 32-bit offset space) would be exceeded; the arena is left unchanged.
     #[inline]
     pub fn alloc_zeroed(&mut self, size: usize) -> Result<u32, RuntimeError> {
         let off = self.buf.len();
-        let padded = size.div_ceil(8) * 8;
-        let new_len = off + padded;
-        if new_len > self.limit {
+        let cap = self.limit.min(u32::MAX as usize);
+        let padded = size.checked_next_multiple_of(8);
+        let Some(new_len) = padded
+            .and_then(|p| off.checked_add(p))
+            .filter(|&end| end <= cap)
+        else {
             return Err(RuntimeError::Arena(ArenaError::Exhausted {
-                requested: padded as u64,
-                remaining: (self.limit - off) as u64,
+                requested: padded.unwrap_or(size) as u64,
+                remaining: cap.saturating_sub(off) as u64,
             }));
-        }
+        };
         self.buf.resize(new_len, 0);
         Ok(off as u32)
     }
@@ -94,19 +139,44 @@ impl DecodeArena {
     }
 
     /// Writes the low `size` bytes of `bits` at `off` (scalar slot store).
+    ///
+    /// The slot sizes the layouts use (1, 4 and 8) are matched so each
+    /// store has a fixed width; a variable-length copy compiles to a
+    /// `memcpy` call.
     #[inline]
     pub fn write_scalar(&mut self, off: u32, bits: u64, size: usize) {
         let off = off as usize;
-        self.buf[off..off + size].copy_from_slice(&bits.to_le_bytes()[..size]);
+        match size {
+            8 => self.buf[off..off + 8].copy_from_slice(&bits.to_le_bytes()),
+            4 => self.buf[off..off + 4].copy_from_slice(&(bits as u32).to_le_bytes()),
+            1 => self.buf[off] = bits as u8,
+            _ => self.buf[off..off + size].copy_from_slice(&bits.to_le_bytes()[..size]),
+        }
     }
 
-    /// Reads a `size`-byte little-endian scalar at `off`.
+    /// Reads a `size`-byte little-endian scalar at `off` (fixed-width for
+    /// sizes 1, 4 and 8, like [`DecodeArena::write_scalar`]).
     #[inline]
     pub fn read_scalar(&self, off: u32, size: usize) -> u64 {
-        let off = off as usize;
-        let mut bytes = [0u8; 8];
-        bytes[..size].copy_from_slice(&self.buf[off..off + size]);
-        u64::from_le_bytes(bytes)
+        let at = off as usize;
+        match size {
+            8 => self.read_u64(off),
+            4 => u64::from(u32::from_le_bytes(
+                self.buf[at..at + 4].try_into().expect("4 bytes"),
+            )),
+            1 => u64::from(self.buf[at]),
+            _ => {
+                let mut bytes = [0u8; 8];
+                bytes[..size].copy_from_slice(&self.buf[at..at + size]);
+                u64::from_le_bytes(bytes)
+            }
+        }
+    }
+
+    /// The byte at `off` (a hasbits byte, for the serializer's scan).
+    #[inline]
+    pub(crate) fn byte(&self, off: u32) -> u8 {
+        self.buf[off as usize]
     }
 
     /// ORs `mask` into the byte at `off` (hasbit set).
@@ -167,10 +237,15 @@ mod tests {
     fn scalar_and_bit_accessors_round_trip() {
         let mut a = DecodeArena::new();
         let o = a.alloc_zeroed(32).unwrap();
-        a.write_scalar(o + 8, 0x1122_3344_5566_7788, 4);
-        assert_eq!(a.read_scalar(o + 8, 4), 0x5566_7788);
-        a.write_scalar(o + 16, 0xff, 1);
-        assert_eq!(a.read_scalar(o + 16, 1), 0xff);
+        // The fixed 1-, 4- and 8-byte paths and the generic one each store
+        // exactly their own bytes.
+        for size in 1..=8 {
+            a.write_u64(o + 8, u64::MAX);
+            a.write_scalar(o + 8, 0x0102_0304_0506_0708, size);
+            let mask = u64::MAX >> (64 - 8 * size);
+            assert_eq!(a.read_scalar(o + 8, size), 0x0102_0304_0506_0708 & mask);
+            assert_eq!(a.read_u64(o + 8) & !mask, !mask, "size {size} overran");
+        }
         a.set_bit(o, 0b100);
         assert!(a.bit(o, 0b100));
         assert!(!a.bit(o, 0b1000));
@@ -182,6 +257,23 @@ mod tests {
         assert!(a.alloc_zeroed(64).is_ok());
         let err = a.alloc_zeroed(8).unwrap_err();
         assert!(matches!(err, RuntimeError::Arena(_)), "{err:?}");
+    }
+
+    /// Regression: neither the padding nor the end offset may wrap, and the
+    /// end must stay inside the 32-bit offset space whatever the limit. An
+    /// oversized request is typed exhaustion, refused before any resize.
+    #[test]
+    fn oversized_requests_are_exhaustion_not_wraparound() {
+        let mut a = DecodeArena::with_limit(usize::MAX);
+        a.alloc_zeroed(8).unwrap();
+        for size in [usize::MAX, u32::MAX as usize + 1] {
+            let err = a.alloc_zeroed(size).unwrap_err();
+            assert!(
+                matches!(err, RuntimeError::Arena(ArenaError::Exhausted { .. })),
+                "size {size}: {err:?}"
+            );
+            assert_eq!(a.len(), 8, "a refused request must not grow the arena");
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! [`protoacc_cpu`'s software codec]: https://github.com/ — crates/cpu
 
-use crate::arena::{pack_str, unpack_str, DecodeArena};
-use crate::dispatch::{CompiledSchema, FieldEntry, Op};
+use crate::arena::{pack_str, unpack_str, DecodeArena, DecodeScratch, RepAccum};
+use crate::dispatch::{CompiledSchema, FieldEntry, Op, TableImage};
 use crate::reverse::ReverseWriter;
 use crate::swar;
 use protoacc_runtime::object::value_from_bits;
@@ -27,18 +27,12 @@ pub struct FastCodec {
     compiled: CompiledSchema,
 }
 
-/// Accumulator for one repeated field within one message frame.
-struct RepAccum {
-    number: u32,
-    elems: Vec<u64>,
-}
-
-/// Decode state shared down the recursion: the compiled schema plus a
-/// recycling pool for repeated-field element buffers, so steady-state decode
-/// of repeated-heavy messages does no per-frame heap allocation.
+/// Decode state shared down the recursion: the compiled schema plus the
+/// arena's scratch, taken out of the arena for the length of one decode so
+/// that steady-state decodes make no heap allocation.
 struct Decoder<'c> {
     cs: &'c CompiledSchema,
-    pool: Vec<Vec<u64>>,
+    scratch: DecodeScratch,
 }
 
 impl FastCodec {
@@ -80,10 +74,14 @@ impl FastCodec {
         let obj = arena.alloc_zeroed(cm.object_size as usize)?;
         let mut dec = Decoder {
             cs: &self.compiled,
-            pool: Vec::new(),
+            scratch: std::mem::take(&mut arena.scratch),
         };
-        dec.frame(arena, input, 0, input.len(), type_id, obj, 0)?;
-        Ok(obj)
+        let result = dec.frame(arena, input, 0, input.len(), type_id, obj, 0);
+        // The scratch goes back on every exit; a rejected decode leaves
+        // accumulators behind, whose buffers return to the pool.
+        dec.scratch.recycle();
+        arena.scratch = dec.scratch;
+        result.map(|()| obj)
     }
 
     /// Decodes and immediately converts to a [`MessageValue`] tree.
@@ -280,6 +278,8 @@ impl FastCodec {
     /// decoded from.
     ///
     /// Byte-identical to decoding to a value tree and reference-encoding it.
+    /// The bytes are written back-to-front into the arena's reusable writer,
+    /// so the returned `Vec` is the only allocation in steady state.
     pub fn encode_decoded(
         &self,
         type_id: MessageId,
@@ -287,11 +287,19 @@ impl FastCodec {
         arena: &DecodeArena,
         obj: u32,
     ) -> Vec<u8> {
-        let mut w = ReverseWriter::with_capacity(input.len() + input.len() / 2 + 64);
+        let mut w = arena.writer.borrow_mut();
+        w.clear();
         self.rencode_obj(type_id, input, arena, obj, &mut w);
-        w.into_bytes()
+        w.as_slice().to_vec()
     }
 
+    /// Prepends every present field of `obj`, highest field number first.
+    ///
+    /// A `Dense` table is indexed like the hasbits array (`number -
+    /// min_field`), so the walk scans the hasbits bytes from high to low and
+    /// dispatches each set bit straight to its entry — the §4.5 serializer
+    /// frontend's walk. A `Sparse` table's span is too wide to scan, so it
+    /// walks the defined fields instead (its entries are sorted by number).
     fn rencode_obj(
         &self,
         type_id: MessageId,
@@ -301,59 +309,70 @@ impl FastCodec {
         w: &mut ReverseWriter,
     ) {
         let cm = self.compiled.message(type_id);
-        for &number in cm.numbers.iter().rev() {
-            let entry = cm.entry(number).expect("listed number has an entry");
-            if !arena.bit(
-                obj + cm.hasbits_offset + entry.hasbit_byte,
-                entry.hasbit_mask,
-            ) {
-                continue;
+        let hasbits = obj + cm.hasbits_offset;
+        match cm.table_image() {
+            TableImage::Dense(table) => {
+                for byte in (0..table.len().div_ceil(8)).rev() {
+                    let mut bits = arena.byte(hasbits + byte as u32);
+                    while bits != 0 {
+                        let bit = 7 - bits.leading_zeros() as usize;
+                        bits ^= 1 << bit;
+                        // A set bit in a numbering gap has no entry and is
+                        // skipped, as the hardware frontend skips it.
+                        if let Some(Some(entry)) = table.get(byte * 8 + bit) {
+                            self.rencode_field(entry, input, arena, obj, w);
+                        }
+                    }
+                }
             }
-            let slot = obj + entry.slot_offset;
-            if entry.repeated {
-                let header = arena.read_u64(slot) as u32;
-                let data = arena.read_u64(header) as u32;
-                let count = arena.read_u64(header + 8) as usize;
-                let elem = u32::from(entry.elem_size);
-                if entry.packed {
-                    let before = w.len();
-                    for i in (0..count).rev() {
-                        let bits = arena.read_scalar(data + i as u32 * elem, elem as usize);
-                        self.prepend_scalar(entry, bits, w);
-                    }
-                    w.prepend_varint((w.len() - before) as u64);
-                    w.prepend_varint(entry.packed_key_encoded);
-                } else {
-                    for i in (0..count).rev() {
-                        self.prepend_element(entry, input, arena, data + i as u32 * elem, w);
-                        w.prepend_varint(entry.key_encoded);
+            TableImage::Sparse(table) => {
+                for entry in table.iter().rev() {
+                    if arena.bit(hasbits + entry.hasbit_byte, entry.hasbit_mask) {
+                        self.rencode_field(entry, input, arena, obj, w);
                     }
                 }
-            } else {
-                match entry.op {
-                    Op::Bytes => {
-                        let (off, len) = unpack_str(arena.read_u64(slot));
-                        w.prepend_slice(&input[off..off + len]);
-                        w.prepend_varint(len as u64);
-                    }
-                    Op::Msg => {
-                        let sub = entry.sub.expect("Msg op has a sub type");
-                        let sub_obj = arena.read_u64(slot) as u32;
-                        let before = w.len();
-                        self.rencode_obj(sub, input, arena, sub_obj, w);
-                        w.prepend_varint((w.len() - before) as u64);
-                    }
-                    _ => {
-                        let bits = arena.read_scalar(slot, entry.elem_size as usize);
-                        self.prepend_scalar(entry, bits, w);
-                    }
-                }
-                w.prepend_varint(entry.key_encoded);
             }
         }
     }
 
-    /// One repeated element's payload bytes (no key).
+    /// Prepends one present field of `obj`: every element of a repeated
+    /// field, keys included.
+    fn rencode_field(
+        &self,
+        entry: &FieldEntry,
+        input: &[u8],
+        arena: &DecodeArena,
+        obj: u32,
+        w: &mut ReverseWriter,
+    ) {
+        let slot = obj + entry.slot_offset;
+        if entry.repeated {
+            let header = arena.read_u64(slot) as u32;
+            let data = arena.read_u64(header) as u32;
+            let count = arena.read_u64(header + 8) as usize;
+            let elem = u32::from(entry.elem_size);
+            if entry.packed {
+                let before = w.len();
+                for i in (0..count).rev() {
+                    let bits = arena.read_scalar(data + i as u32 * elem, elem as usize);
+                    self.prepend_scalar(entry, bits, w);
+                }
+                w.prepend_varint((w.len() - before) as u64);
+                w.prepend_varint(entry.packed_key_encoded);
+            } else {
+                for i in (0..count).rev() {
+                    self.prepend_element(entry, input, arena, data + i as u32 * elem, w);
+                    w.prepend_varint(entry.key_encoded);
+                }
+            }
+        } else {
+            self.prepend_element(entry, input, arena, slot, w);
+            w.prepend_varint(entry.key_encoded);
+        }
+    }
+
+    /// One value's payload bytes (no key): a singular slot or one repeated
+    /// element.
     fn prepend_element(
         &self,
         entry: &FieldEntry,
@@ -475,7 +494,9 @@ impl Decoder<'_> {
         }
         let cs = self.cs;
         let cm = cs.message(type_id);
-        let mut accums: Vec<RepAccum> = Vec::new();
+        // This frame's accumulators are `accums[base..]`; sub-frames push
+        // above them and truncate back before returning.
+        let base = self.scratch.accums.len();
         let mut pos = start;
         while pos < end {
             let (key_raw, key_len) = swar::decode(&full[pos..end])?;
@@ -511,10 +532,10 @@ impl Decoder<'_> {
                     // An accumulator (and hence the hasbit) appears only
                     // once at least one element exists: an empty packed body
                     // leaves the field absent, exactly like crates/cpu.
-                    let acc = self.accum(&mut accums, number);
+                    let elems = self.accum(base, number);
                     while pos < body_end {
                         let (bits, n) = scalar_element(&full[..body_end], pos, &entry)?;
-                        accums[acc].elems.push(bits);
+                        elems.push(bits);
                         pos += n;
                     }
                 }
@@ -531,8 +552,7 @@ impl Decoder<'_> {
                     pos = payload_off + len;
                     let word = pack_str(payload_off, len);
                     if entry.repeated {
-                        let acc = self.accum(&mut accums, number);
-                        accums[acc].elems.push(word);
+                        self.accum(base, number).push(word);
                     } else {
                         arena.write_u64(obj + entry.slot_offset, word);
                         arena.set_bit(
@@ -561,8 +581,7 @@ impl Decoder<'_> {
                         depth + 1,
                     )?;
                     if entry.repeated {
-                        let acc = self.accum(&mut accums, number);
-                        accums[acc].elems.push(u64::from(sub_obj));
+                        self.accum(base, number).push(u64::from(sub_obj));
                     } else {
                         arena.write_u64(obj + entry.slot_offset, u64::from(sub_obj));
                         arena.set_bit(
@@ -575,8 +594,7 @@ impl Decoder<'_> {
                     let (bits, n) = scalar_element(&full[..end], pos, &entry)?;
                     pos += n;
                     if entry.repeated {
-                        let acc = self.accum(&mut accums, number);
-                        accums[acc].elems.push(bits);
+                        self.accum(base, number).push(bits);
                     } else {
                         arena.write_scalar(obj + entry.slot_offset, bits, entry.elem_size as usize);
                         arena.set_bit(
@@ -589,8 +607,9 @@ impl Decoder<'_> {
         }
         // Materialize repeated fields in ascending field-number order (the
         // BTreeMap order crates/cpu materializes in).
-        accums.sort_unstable_by_key(|a| a.number);
-        for acc in &mut accums {
+        let DecodeScratch { accums, pool } = &mut self.scratch;
+        accums[base..].sort_unstable_by_key(|a| a.number);
+        for acc in &mut accums[base..] {
             let entry = cm
                 .entry(acc.number)
                 .expect("accum numbers are known fields");
@@ -609,21 +628,27 @@ impl Decoder<'_> {
                 obj + cm.hasbits_offset + entry.hasbit_byte,
                 entry.hasbit_mask,
             );
-            self.pool.push(std::mem::take(&mut acc.elems));
+            pool.push(std::mem::take(&mut acc.elems));
         }
+        accums.truncate(base);
         Ok(())
     }
 
-    /// Index of the accumulator for `number`, creating one (with a recycled
-    /// element buffer) on first arrival.
-    fn accum(&mut self, accums: &mut Vec<RepAccum>, number: u32) -> usize {
-        if let Some(i) = accums.iter().position(|a| a.number == number) {
-            return i;
-        }
-        let mut elems = self.pool.pop().unwrap_or_default();
-        elems.clear();
-        accums.push(RepAccum { number, elems });
-        accums.len() - 1
+    /// The element buffer of the accumulator for `number` among the frame's
+    /// `accums[base..]`, creating one (with a recycled buffer) on first
+    /// arrival.
+    fn accum(&mut self, base: usize, number: u32) -> &mut Vec<u64> {
+        let DecodeScratch { accums, pool } = &mut self.scratch;
+        let i = match accums[base..].iter().position(|a| a.number == number) {
+            Some(i) => base + i,
+            None => {
+                let mut elems = pool.pop().unwrap_or_default();
+                elems.clear();
+                accums.push(RepAccum { number, elems });
+                accums.len() - 1
+            }
+        };
+        &mut accums[i].elems
     }
 }
 

@@ -155,8 +155,7 @@ pub struct CompiledMessage {
     pub hasbits_offset: u32,
     /// Smallest defined field number (dense-table base).
     pub min_field: u32,
-    /// Defined field numbers in ascending order (the serializer walks these
-    /// in reverse for the memwriter's back-to-front pass).
+    /// Defined field numbers in ascending order.
     pub numbers: Vec<u32>,
     table: TableImage,
 }

@@ -9,9 +9,11 @@
 //! the reference encoder; decodes must produce value-identical trees on
 //! accepts and the same `DecodeFault` class as `crates/cpu` on rejects.
 
-use protoacc_suite::fastpath::{swar, DecodeArena, FastCodec};
+use protoacc_suite::fastpath::{swar, DecodeArena, FastCodec, TableKind, DENSE_SPAN_LIMIT};
 use protoacc_suite::faults::{depth_bomb, mutate, DiffReport, FastpathHarness, Verdict};
-use protoacc_suite::hyperbench::{generate_suite, populate::populate_messages, ServiceProfile};
+use protoacc_suite::hyperbench::{
+    generate_suite, populate::populate_messages, Generator, ServiceProfile,
+};
 use protoacc_suite::runtime::{reference, MessageValue, Value};
 use protoacc_suite::schema::{parse_descriptor_set, parse_proto, MessageId, Schema};
 use protoacc_suite::xrand::StdRng;
@@ -287,6 +289,156 @@ fn zigzag_extremes_are_byte_identical() {
     let mut arena = DecodeArena::new();
     let back = codec.decode_to_value(type_id, &wire, &mut arena).unwrap();
     assert!(back.bits_eq(&m), "zigzag extremes diverge after round trip");
+}
+
+/// The arena keeps the codec's scratch (accumulators, element buffers, the
+/// encoder's writer) across calls, and a rejected decode stops with that
+/// scratch half used. A clean decode after any number of rejects on one
+/// arena must match a decode on a fresh arena: same root offset, same
+/// arena length, the same value tree, and the original wire on re-encode.
+#[test]
+fn arena_reuse_after_rejects_matches_a_fresh_arena() {
+    let mut rng = StdRng::seed_from_u64(0xA4E7_A5E5);
+    for bench in generate_suite(1, 0xC0DE) {
+        let label = bench.profile.name;
+        let (type_id, message) = (bench.type_id, &bench.messages[0]);
+        let codec = FastCodec::new(&bench.schema);
+        let wire = reference::encode(message, &bench.schema).unwrap();
+        let mut shared = DecodeArena::new();
+        let mut rejects = 0;
+        let truncations = (0..wire.len()).map(|cut| wire[..cut].to_vec());
+        let mutations = (0..256).map(|_| mutate(&wire, &mut rng).1);
+        for bad in truncations.chain(mutations) {
+            rejects += usize::from(codec.decode(type_id, &bad, &mut shared).is_err());
+        }
+        assert!(rejects > 0, "{label}: the sweep rejected nothing");
+        let obj = codec.decode(type_id, &wire, &mut shared).unwrap();
+        let mut fresh = DecodeArena::new();
+        let fresh_obj = codec.decode(type_id, &wire, &mut fresh).unwrap();
+        assert_eq!(obj, fresh_obj, "{label}: root offset");
+        assert_eq!(shared.len(), fresh.len(), "{label}: arena length");
+        for arena in [&shared, &fresh] {
+            let back = codec.to_value(type_id, &wire, arena, obj);
+            assert!(back.bits_eq(message), "{label}: decoded tree diverges");
+            assert_eq!(
+                codec.encode_decoded(type_id, &wire, arena, obj),
+                wire,
+                "{label}"
+            );
+        }
+    }
+
+    // The largest storage-rows message grows the arena's writer; a small
+    // message encoded next must not pick up its stale bytes.
+    let bench = Generator::new(ServiceProfile::bench(2), 0xC0DE).generate(16);
+    assert_eq!(bench.profile.name, "storage-rows");
+    let mut wires: Vec<Vec<u8>> = bench
+        .messages
+        .iter()
+        .map(|m| reference::encode(m, &bench.schema).unwrap())
+        .collect();
+    wires.sort_by_key(Vec::len);
+    let codec = FastCodec::new(&bench.schema);
+    let mut arena = DecodeArena::new();
+    for wire in [&wires[wires.len() - 1], &wires[0]] {
+        let obj = codec.decode(bench.type_id, wire, &mut arena).unwrap();
+        assert_eq!(
+            codec.encode_decoded(bench.type_id, wire, &arena, obj),
+            *wire,
+            "storage-rows message of {} bytes",
+            wire.len()
+        );
+    }
+}
+
+/// `encode_decoded` scans the hasbits of a `Dense` table and walks the
+/// defined fields of a `Sparse` one. Both walks must reproduce the
+/// reference encoding, including fields at the ends of the span, at the
+/// largest dense span and just past it.
+#[test]
+fn both_serializer_walks_reproduce_the_reference_encoding() {
+    for (span, kind) in [
+        (DENSE_SPAN_LIMIT, TableKind::Dense),
+        (DENSE_SPAN_LIMIT + 1, TableKind::Sparse),
+        (100_000, TableKind::Sparse),
+    ] {
+        let (max, mid) = (span as u32, span as u32 / 2);
+        let schema = parse_proto(&format!(
+            "message Inner {{ optional uint64 id = 1; }} \
+             message W {{ optional sint64 lo = 1; repeated string names = {mid}; \
+             repeated int32 nums = {} [packed = true]; optional Inner hi = {max}; }}",
+            mid + 1
+        ))
+        .unwrap();
+        let (w, inner) = (
+            schema.id_by_name("W").unwrap(),
+            schema.id_by_name("Inner").unwrap(),
+        );
+        let codec = FastCodec::new(&schema);
+        assert_eq!(
+            codec.compiled().message(w).table_kind(),
+            kind,
+            "span {span}"
+        );
+        if kind == TableKind::Dense {
+            assert_eq!(codec.compiled().layouts().layout(w).hasbits_bytes(), 512);
+        }
+        let mut sub = MessageValue::new(inner);
+        sub.set_unchecked(1, Value::UInt64(7));
+        let mut full = MessageValue::new(w);
+        full.set_unchecked(1, Value::SInt64(-5));
+        full.set_repeated(mid, vec![Value::Str("a".into()), Value::Str(String::new())]);
+        full.set_repeated(
+            mid + 1,
+            vec![Value::Int32(1), Value::Int32(-1), Value::Int32(300)],
+        );
+        full.set_unchecked(max, Value::Message(sub.clone()));
+        let mut only_min = MessageValue::new(w);
+        only_min.set_unchecked(1, Value::SInt64(i64::MAX));
+        let mut only_max = MessageValue::new(w);
+        only_max.set_unchecked(max, Value::Message(sub));
+        for (i, message) in [full, only_min, only_max].iter().enumerate() {
+            check_message(&format!("span {span} m{i}"), &schema, w, message);
+        }
+    }
+}
+
+/// The fast path, like `crates/cpu`, does not validate UTF-8 in `string`
+/// fields: invalid sequences are accepted by both engines and come back
+/// byte for byte.
+#[test]
+fn invalid_utf8_strings_are_accepted_and_reproduced() {
+    let schema =
+        parse_proto("message U { optional string s = 1; repeated string r = 2; }").unwrap();
+    let type_id = schema.id_by_name("U").unwrap();
+    let codec = FastCodec::new(&schema);
+    let mut h = FastpathHarness::new(&schema, type_id);
+    let payloads: [&[u8]; 4] = [
+        &[0x80],             // lone continuation byte
+        &[0xff, 0xfe],       // bytes that never occur in UTF-8
+        &[0xc0, 0xaf],       // overlong encoding of '/'
+        &[b'a', 0xe2, 0x82], // 3-byte sequence cut after two bytes
+    ];
+    for payload in payloads {
+        let mut wire = Vec::new();
+        for key in [0x0a, 0x12, 0x12] {
+            wire.extend_from_slice(&[key, payload.len() as u8]);
+            wire.extend_from_slice(payload);
+        }
+        let (fast, cpu) = h.verdicts(&wire);
+        assert_eq!(
+            (fast, cpu),
+            (Verdict::Accept, Verdict::Accept),
+            "{payload:02x?}"
+        );
+        let mut arena = DecodeArena::new();
+        let obj = codec.decode(type_id, &wire, &mut arena).unwrap();
+        assert_eq!(
+            codec.encode_decoded(type_id, &wire, &arena, obj),
+            wire,
+            "{payload:02x?}"
+        );
+    }
 }
 
 /// The SWAR decoder reached through the facade agrees with the scalar

@@ -42,7 +42,9 @@
 #                           (fails on queue-invariant violations,
 #                           nondeterministic multi-instance replay, or any
 #                           PA007/PA008/PA009 sanitizer finding: envelope
-#                           violations, lifecycle reordering, arena aliasing)
+#                           violations, lifecycle reordering, arena aliasing;
+#                           the sanitized runs attach an event tracer, and
+#                           memory footprints come from its trace)
 #   7. fault smoke          serve_tail_latency --smoke --faults
 #                           (every fault class — instance crash/hang/slow,
 #                           memory ECC/stall, wire corruption — must serve
@@ -60,7 +62,8 @@
 #  10. trace round trip     serve_tail_latency --smoke --trace emits a
 #                           Chrome-trace JSON (tracing proven to be a pure
 #                           observer, accounting audit exact, trace-derived
-#                           sanitizer inputs match the live cluster), then
+#                           records match the live cluster, sanitizer clean
+#                           on trace-derived inputs), then
 #                           profile_report --reparse re-parses the file and
 #                           re-runs the accounting audit offline
 #  11. rpc serving gate    serve_rpc --smoke sweeps offered load through 2x

@@ -1,23 +1,23 @@
 //! Reconstructing sanitizer inputs from a structured trace stream.
 //!
-//! The sanitizer normally consumes [`CommandRecord`]s and
-//! [`CommandFootprint`]s handed over directly by the serving model. With the
-//! `protoacc-trace` layer attached, the same facts flow through the event
-//! stream: `cmd_complete` events carry the full record image, and
-//! `mem_access` events carry every byte range each requester touched. This
-//! module rebuilds both inputs from events alone, so PA007–PA009 can run
-//! off a trace file with no access to the cluster that produced it.
+//! The trace is the sanitizer's only source of memory footprints: the
+//! serving model keeps no per-command byte ranges of its own. With the
+//! `protoacc-trace` layer attached, `mem_access` events carry every byte
+//! range each requester touched, and `cmd_complete` events carry the full
+//! record image. This module rebuilds [`CommandFootprint`]s and
+//! [`CommandRecord`]s from events alone, so PA007–PA009 run the same way off
+//! an in-memory `TraceLog` or off a trace file, with no access to the
+//! cluster that produced it.
 //!
 //! Reconstruction is exact for everything the sanitizer checks, with one
 //! deliberate loss: the trace records *that* a command was rejected or
 //! failed, not the typed [`DecodeFault`] detail, so rebuilt statuses carry a
 //! representative fault. Compare statuses by discriminant, not by value.
 
-use protoacc::serve::{CommandFootprint, CommandStatus};
-use protoacc::{CommandRecord, DecodeFault};
+use protoacc::{CommandRecord, CommandStatus, DecodeFault};
 use protoacc_trace::{CmdOutcome, TraceEvent};
 
-use crate::{sanitize, Finding, ServiceBounds};
+use crate::{sanitize, CommandFootprint, Finding, ServiceBounds};
 
 /// Rebuilds the per-command records plus the `(offered, dropped)` totals
 /// from a trace stream.
@@ -79,13 +79,12 @@ pub fn records_from_trace(events: &[TraceEvent]) -> (Vec<CommandRecord>, u64, u6
 
 /// Rebuilds per-command memory footprints from a trace stream.
 ///
-/// Attribution follows the event stream's execution order, mirroring the
-/// serving model's own capture rules: a `cmd_dispatch` binds its instance's
-/// subsequent `mem_access` events to that command (a retry dispatch resets
-/// the command's footprint, matching the model's keep-the-last-attempt
-/// rule), and a `cmd_fallback` binds the software path's requester id
-/// (`instances`) to the command, replacing the accelerator-attempt footprint
-/// once CPU traffic actually flows.
+/// Attribution follows the event stream's execution order: a
+/// `cmd_dispatch` binds its instance's subsequent `mem_access` events to
+/// that command (a retry dispatch resets the command's footprint, so only
+/// the last attempt counts), and a `cmd_fallback` binds the software path's
+/// requester id (`instances`) to the command, replacing the
+/// accelerator-attempt footprint once CPU traffic actually flows.
 #[must_use]
 pub fn footprints_from_trace(events: &[TraceEvent], instances: usize) -> Vec<CommandFootprint> {
     use std::collections::HashMap;
@@ -135,33 +134,34 @@ pub fn footprints_from_trace(events: &[TraceEvent], instances: usize) -> Vec<Com
             _ => {}
         }
     }
-    let merge = |mut ranges: Vec<(u64, u64)>| -> Vec<(u64, u64)> {
-        ranges.sort_unstable();
-        let mut merged: Vec<(u64, u64)> = Vec::new();
-        for (lo, hi) in ranges {
-            match merged.last_mut() {
-                Some(last) if lo <= last.1 => last.1 = last.1.max(hi),
-                _ => merged.push((lo, hi)),
-            }
-        }
-        merged
-    };
     order
         .into_iter()
         .map(|seq| {
             let (reads, writes) = acc.remove(&seq).unwrap_or_default();
             CommandFootprint {
                 seq,
-                reads: merge(reads),
-                writes: merge(writes),
+                reads: merge_ranges(reads),
+                writes: merge_ranges(writes),
             }
         })
         .collect()
 }
 
-/// Runs the full sanitizer ([`sanitize`]) over inputs reconstructed from a
-/// trace stream: the PA007–PA009 checks see exactly what they would have
-/// seen from the live cluster.
+/// Sorts half-open ranges and coalesces overlapping or adjacent ones.
+fn merge_ranges(mut ranges: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    ranges.sort_unstable();
+    let mut merged: Vec<(u64, u64)> = Vec::new();
+    for (lo, hi) in ranges {
+        match merged.last_mut() {
+            Some(last) if lo <= last.1 => last.1 = last.1.max(hi),
+            _ => merged.push((lo, hi)),
+        }
+    }
+    merged
+}
+
+/// Runs the full sanitizer ([`sanitize`]) with both its records and its
+/// footprints reconstructed from a trace stream.
 #[must_use]
 pub fn sanitize_trace(
     events: &[TraceEvent],

@@ -129,29 +129,6 @@ impl RequesterStats {
     }
 }
 
-/// One access captured while tracing is enabled: who touched which byte
-/// range, and whether it was a load or a store. The sanitizer layer
-/// (`protoacc-absint`) consumes these to build per-command memory
-/// footprints; recording is off by default so the hot path stays a branch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessRecord {
-    /// Requester current when the access was issued.
-    pub requester: usize,
-    /// First byte touched.
-    pub addr: u64,
-    /// Bytes touched (never 0; zero-length accesses are not recorded).
-    pub len: u64,
-    /// Load or store.
-    pub kind: AccessKind,
-}
-
-impl AccessRecord {
-    /// Exclusive end of the touched range.
-    pub fn end(&self) -> u64 {
-        self.addr + self.len
-    }
-}
-
 /// A hardware fault raised by the simulated memory system.
 ///
 /// Faults are injected (armed) by a test harness or the fault-injection
@@ -244,8 +221,6 @@ pub struct MemSystem {
     /// The latency-overlap factor streams see under the current sharing:
     /// the outstanding-request budget split across `sharers`, at least 1.
     overlap: u64,
-    tracing: bool,
-    trace: Vec<AccessRecord>,
     armed: Vec<ArmedFault>,
     fault: Option<MemFault>,
     /// Structured event sink (`protoacc-trace`); `None` (the default) is
@@ -275,8 +250,6 @@ impl MemSystem {
             requesters: vec![RequesterStats::default()],
             sharers: 1,
             overlap: overlap(&config, 1),
-            tracing: false,
-            trace: Vec::new(),
             armed: Vec::new(),
             fault: None,
             event_tracer: None,
@@ -377,35 +350,6 @@ impl MemSystem {
         extra_cycles
     }
 
-    /// Turns access tracing on or off. While on, every non-empty
-    /// `access`/`stream`/`pipelined` call appends an [`AccessRecord`];
-    /// turning it off leaves any already-captured records in place.
-    pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-    }
-
-    /// Whether access tracing is currently enabled.
-    pub fn tracing(&self) -> bool {
-        self.tracing
-    }
-
-    /// Drains and returns the captured access records.
-    pub fn take_trace(&mut self) -> Vec<AccessRecord> {
-        std::mem::take(&mut self.trace)
-    }
-
-    /// Appends one trace record if tracing is on.
-    fn trace_access(&mut self, addr: u64, len: usize, kind: AccessKind) {
-        if self.tracing {
-            self.trace.push(AccessRecord {
-                requester: self.requester,
-                addr,
-                len: len as u64,
-                kind,
-            });
-        }
-    }
-
     /// The configuration this system was built with.
     pub fn config(&self) -> &MemConfig {
         &self.config
@@ -449,7 +393,6 @@ impl MemSystem {
         if len == 0 {
             return 0;
         }
-        self.trace_access(addr, len, kind);
         let snap = self.snap_for_event();
         let tlb_cost = self.translate(addr, len);
         let mut cost = tlb_cost;
@@ -478,7 +421,6 @@ impl MemSystem {
         if len == 0 {
             return 0;
         }
-        self.trace_access(addr, len, kind);
         let snap = self.snap_for_event();
         let mut worst: Cycles = 0;
         let mut sum: Cycles = 0;
@@ -517,7 +459,6 @@ impl MemSystem {
         if len == 0 {
             return 0;
         }
-        self.trace_access(addr, len, kind);
         let snap = self.snap_for_event();
         let tlb_cost = self.translate(addr, len);
         let mut cost = tlb_cost;
@@ -651,7 +592,6 @@ impl MemSystem {
         for r in &mut self.requesters {
             *r = RequesterStats::default();
         }
-        self.trace.clear();
         self.armed.clear();
         self.fault = None;
         self.trace_origin = (0, 0);
@@ -903,46 +843,43 @@ mod tests {
 
     #[test]
     fn tracing_captures_nonempty_accesses_with_attribution() {
+        use protoacc_trace::MemAccessMode::{Blocking, Pipelined, Stream};
         let mut sys = MemSystem::new(MemConfig::default());
-        sys.access(0x1000, 8, AccessKind::Read);
-        assert!(sys.take_trace().is_empty(), "off by default");
-        sys.set_tracing(true);
-        assert!(sys.tracing());
+        let log = protoacc_trace::TraceLog::shared();
+        sys.access(0x1000, 8, AccessKind::Read); // no tracer yet: not recorded
+        sys.set_event_tracer(Some(log.clone()));
+        assert!(sys.event_tracing());
         sys.access(0x2000, 16, AccessKind::Write);
         sys.access(0x3000, 0, AccessKind::Read); // zero-length: not recorded
         sys.set_requester(3);
         sys.stream(0x4000, 100, AccessKind::Read);
         sys.pipelined(0x5000, 4, AccessKind::Write);
-        let trace = sys.take_trace();
+        sys.set_event_tracer(None);
+        sys.access(0x6000, 8, AccessKind::Read); // detached: not recorded
+        let seen: Vec<_> = log
+            .borrow()
+            .events
+            .iter()
+            .map(|e| match *e {
+                protoacc_trace::TraceEvent::MemAccess {
+                    requester,
+                    addr,
+                    len,
+                    write,
+                    mode,
+                    ..
+                } => (requester, addr, len, write, mode),
+                ref other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
         assert_eq!(
-            trace,
+            seen,
             vec![
-                AccessRecord {
-                    requester: 0,
-                    addr: 0x2000,
-                    len: 16,
-                    kind: AccessKind::Write
-                },
-                AccessRecord {
-                    requester: 3,
-                    addr: 0x4000,
-                    len: 100,
-                    kind: AccessKind::Read
-                },
-                AccessRecord {
-                    requester: 3,
-                    addr: 0x5000,
-                    len: 4,
-                    kind: AccessKind::Write
-                },
+                (0, 0x2000, 16, true, Blocking),
+                (3, 0x4000, 100, false, Stream),
+                (3, 0x5000, 4, true, Pipelined),
             ]
         );
-        assert_eq!(trace[1].end(), 0x4000 + 100);
-        // take_trace drains; reset clears any residue.
-        assert!(sys.take_trace().is_empty());
-        sys.access(0x6000, 8, AccessKind::Read);
-        sys.reset();
-        assert!(sys.take_trace().is_empty());
     }
 
     #[test]

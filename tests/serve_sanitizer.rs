@@ -8,9 +8,12 @@
 //!   deserializations trips PA009 (arena aliasing);
 //! * tampered command records trip PA008 (lifecycle ordering);
 //! * artificially tightened envelopes trip PA007 — proving the envelope
-//!   check actually compares against the measured service times.
+//!   check actually compares against the measured service times;
+//! * the footprints the sanitizer reads, rebuilt from the run's trace, hold
+//!   one entry per record with the ranges each command really touched.
 
-use protoacc_suite::absint::{self, Envelope, FindingKind, ServiceBounds};
+use protoacc_suite::absint::from_trace::footprints_from_trace;
+use protoacc_suite::absint::{self, CommandFootprint, Envelope, FindingKind, ServiceBounds};
 use protoacc_suite::accel::{
     CommandRecord, Dest, DispatchPolicy, Request, Scenario, ServeCluster, ServeConfig,
 };
@@ -18,6 +21,7 @@ use protoacc_suite::lint::{findings_to_diagnostics, DiagCode, LintConfig, Severi
 use protoacc_suite::mem::{MemConfig, Memory};
 use protoacc_suite::runtime::{BumpArena, MessageValue, Value};
 use protoacc_suite::schema::parse_proto;
+use protoacc_suite::trace::TraceLog;
 
 const ARENA_BASE: u64 = 0x1_0000_0000;
 const ARENA_STRIDE: u64 = 1 << 24;
@@ -30,6 +34,26 @@ struct Fixture {
     envs: (Envelope, Envelope),
     /// Per-request destination objects ([`Dest::Fresh`]).
     dests: BumpArena,
+}
+
+/// A finished cluster plus the per-command footprints its trace yielded.
+struct TracedRun {
+    cluster: ServeCluster,
+    footprints: Vec<CommandFootprint>,
+}
+
+impl TracedRun {
+    fn footprints(&self) -> &[CommandFootprint] {
+        &self.footprints
+    }
+}
+
+impl std::ops::Deref for TracedRun {
+    type Target = ServeCluster;
+
+    fn deref(&self) -> &ServeCluster {
+        &self.cluster
+    }
 }
 
 fn fixture() -> Fixture {
@@ -69,8 +93,9 @@ impl Fixture {
             .unwrap()
     }
 
-    /// Runs `requests` on an instrumented cluster and returns it.
-    fn run(&mut self, instances: usize, requests: &[Request]) -> ServeCluster {
+    /// Runs `requests` on a cluster with an event tracer attached and
+    /// returns it with the footprints rebuilt from the trace.
+    fn run(&mut self, instances: usize, requests: &[Request]) -> TracedRun {
         let mut cluster = ServeCluster::new(
             ServeConfig {
                 instances,
@@ -81,9 +106,14 @@ impl Fixture {
             ARENA_BASE,
             ARENA_STRIDE,
         );
-        cluster.set_trace_footprints(true);
+        let log = TraceLog::shared();
+        cluster.set_tracer(Some(log.clone()));
         cluster.run(&mut self.mem, requests).unwrap();
-        cluster
+        let footprints = footprints_from_trace(&log.borrow().events, instances);
+        TracedRun {
+            cluster,
+            footprints,
+        }
     }
 
     /// Static per-record service bounds from the absint envelopes.
@@ -125,6 +155,36 @@ fn clean_concurrent_run_produces_no_findings() {
         &bounds,
     );
     assert!(findings.is_empty(), "clean run flagged: {findings:?}");
+}
+
+#[test]
+fn trace_footprints_capture_per_command_ranges() {
+    let mut f = fixture();
+    // 8 requests 50 cycles apart, alternating deserialize/serialize.
+    let requests = f
+        .scenario
+        .requests((0..8).map(|i| (0, i % 2 == 0, i * 50)), Dest::Shared)
+        .unwrap();
+    let run = f.run(2, &requests);
+    assert_eq!(run.footprints().len(), run.records().len());
+    let staged = &f.scenario.staged[0];
+    let (start, end) = (staged.input_addr, staged.input_addr + staged.input_len);
+    for (fp, r) in run.footprints().iter().zip(run.records()) {
+        assert_eq!(fp.seq, r.seq);
+        assert!(!fp.reads.is_empty(), "cmd {} read nothing", r.seq);
+        assert!(!fp.writes.is_empty(), "cmd {} wrote nothing", r.seq);
+        for w in fp.reads.iter().chain(&fp.writes) {
+            assert!(w.0 < w.1, "empty range");
+        }
+        // Every deser command reads the whole staged wire input.
+        if r.deser {
+            assert!(
+                fp.reads.iter().any(|&(lo, hi)| lo <= start && hi >= end),
+                "cmd {} missing wire read",
+                r.seq
+            );
+        }
+    }
 }
 
 #[test]
